@@ -66,26 +66,10 @@ solvers (every FDFD solve):
   krylov-block krylov + one *blocked* solve for the whole corner family
                (serial executor only; other executors fall back to
                scalar krylov per corner).  Fastest overall on 1 core.
-krylov extras (modifiers compose, e.g. krylov-block:recycle):
-  :recycle     cross-iteration subspace recycling: converged solves
-               donate their correction directions to a small deflation
-               basis (GCRO-style), and later solves on nearby systems
-               project those slow modes out of the operator — warm
-               Monte-Carlo sweeps and long optimizations converge in
-               strictly fewer blocked sweeps.  Worth it on large grids
-               (the dense deflation work competes with sparse LU solves
-               on small ones).
-  --precond-dtype float32
-               factor the preconditioner anchor in single precision
-               (half the factorization memory/time); outer recurrences
-               stay float64 and iterative refinement re-certifies every
-               corner to the full solver tolerance.
 determinism contract: direct/batched are bitwise stable across
-executors; krylov variants (including :recycle and float32
-preconditioning) agree with them to the solver tolerance — trajectories
-match to ~1e-8, not bit-for-bit.
-rule of thumb: start with `--solver krylov-block`; add `:recycle` for
-Monte-Carlo evaluation or many-iteration runs on fine grids; add
+executors; krylov variants agree with them to the solver tolerance —
+trajectories match to ~1e-8, not bit-for-bit.
+rule of thumb: start with `--solver krylov-block`; add
 `--executor process:n` on multi-core machines or `--executor thread:n`
 for a shared-memory fan-out; use `--solver direct` when chasing bits.
 
@@ -236,38 +220,6 @@ security: like `repro worker`, no auth/TLS yet — the daemon executes
 submitted configs, so bind it to trusted networks only (e.g. over an
 SSH tunnel or VPN).
 """
-
-
-def _add_precond_dtype_arg(p: argparse.ArgumentParser) -> None:
-    """``--precond-dtype`` flag shared by ``design`` and ``evaluate``."""
-    p.add_argument(
-        "--precond-dtype",
-        default="float64",
-        choices=("float64", "float32"),
-        help=(
-            "precision of the preconditioner anchor factorization "
-            "(krylov backends only): float32 factors a complex64 twin — "
-            "half the factorization memory and time — while outer "
-            "recurrences stay float64 and iterative refinement restores "
-            "the full solver tolerance (default %(default)s)"
-        ),
-    )
-
-
-def _solver_spec(args):
-    """The ``--solver`` string, upgraded to a config when flags need it.
-
-    A plain backend string round-trips untouched (keeping ``direct``
-    runs on the zero-config path); ``--precond-dtype float32`` forces a
-    coerced :class:`SolverConfig` carrying the override.
-    """
-    if getattr(args, "precond_dtype", "float64") == "float64":
-        return args.solver
-    from repro.fdfd.linalg import SolverConfig
-
-    return SolverConfig.coerce(args.solver).with_overrides(
-        precond_dtype=args.precond_dtype
-    )
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
@@ -462,14 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
             "factorizations; taped thread-pool execution and "
             "single-corner solves fall back to scalar krylov "
             "behaviour). krylov:gmres selects GMRES for the scalar "
-            "solves (the block algorithm is always BiCGStab), and a "
-            ":recycle modifier (e.g. krylov-block:recycle) turns on "
-            "cross-iteration subspace recycling: converged solves feed "
-            "a small deflation basis that strips the recycled slow "
-            "modes from later nearby solves."
+            "solves (the block algorithm is always BiCGStab)."
         ),
     )
-    _add_precond_dtype_arg(p_design)
     _add_observability_args(p_design)
 
     p_eval = sub.add_parser("evaluate", help="post-fab Monte-Carlo eval")
@@ -514,11 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--help`; krylov falls back to direct factorization on "
             "non-convergence, and krylov-block additionally batches all "
             "Monte-Carlo samples of a serial evaluation into one "
-            "blocked solve; a :recycle modifier lets warm samples "
-            "deflate against directions harvested from earlier ones)"
+            "blocked solve)"
         ),
     )
-    _add_precond_dtype_arg(p_eval)
     p_eval.add_argument(
         "--wavelengths",
         default=None,
@@ -789,7 +734,7 @@ def _cmd_design(args) -> int:
         temperatures_k=temperatures_k,
         aggregate=args.aggregate,
         corner_executor=args.executor,
-        solver=_solver_spec(args),
+        solver=args.solver,
         remote_timeout=args.remote_timeout,
         remote_connect_retries=args.remote_connect_retries,
         checkpoint_dir=checkpoint_dir,
@@ -846,7 +791,7 @@ def _cmd_evaluate(args) -> int:
         from repro.fdfd.workspace import SimulationWorkspace
 
         device.configure_simulation_cache(
-            True, SimulationWorkspace(solver_config=_solver_spec(args))
+            True, SimulationWorkspace(solver_config=args.solver)
         )
     process = FabricationProcess(
         device.design_shape,

@@ -123,10 +123,11 @@ def config_digest(config: Any, device_name: str) -> str:
 
     Covers every trajectory-shaping :class:`OptimizerConfig` field (and
     the nested solver config — ``dataclasses.asdict`` recurses into it,
-    so new solver knobs like ``recycle_dim`` / ``precond_dtype`` bind
-    automatically) plus the device name; runtime-only fields (executor
-    backend, worker counts, timeouts, checkpoint knobs, the iteration
-    horizon) are excluded — see :data:`RUNTIME_ONLY_FIELDS`.
+    so every :class:`~repro.fdfd.linalg.SolverConfig` field binds, and
+    adding or removing one changes the digest) plus the device name;
+    runtime-only fields (executor backend, worker counts, timeouts,
+    checkpoint knobs, the iteration horizon) are excluded — see
+    :data:`RUNTIME_ONLY_FIELDS`.
     """
     data = dataclasses.asdict(config)
     for name in RUNTIME_ONLY_FIELDS:

@@ -164,18 +164,10 @@ class OptimizerConfig:
         preconditioner and operator applied to the whole corner block
         in single matrix-RHS sweeps, per-column convergence masking,
         per-corner direct fallback; threaded execution falls back to
-        the scalar per-corner path).  A ``:recycle`` modifier (e.g.
-        ``"krylov-block:recycle"``) or ``SolverConfig.recycle_dim > 0``
-        adds cross-iteration subspace recycling — converged solves
-        donate correction directions to a per-operator-set deflation
-        basis that survives solver epochs and strips recycled slow
-        modes from later nearby solves — and
-        ``SolverConfig(precond_dtype="float32")`` factors the
-        preconditioner anchor's complex64 twin, with float64 iterative
-        refinement preserving the solver tolerance.  Both knobs shape
-        the trajectory only to solver precision but are still bound
-        into the checkpoint config digest (a resume must replay the
-        same solver family).  ``None`` (the default)
+        the scalar per-corner path).  The Krylov knobs (tolerance,
+        iteration budget, anchors) shape the trajectory only to solver
+        precision but are still bound into the checkpoint config digest
+        (a resume must replay the same solver).  ``None`` (the default)
         inherits whatever backend the device's workspace is already
         configured with — so a device set up via
         ``configure_simulation_cache(True, SimulationWorkspace(

@@ -81,10 +81,7 @@ class _CornerWorkerState:
     chunks and iterations, and ``epoch`` tracks the parent's solver
     epoch so preconditioner anchors are dropped exactly once per
     iteration — the worker-side mirror of the parent's
-    ``begin_solver_epoch`` call.  Recycled deflation bases
-    (``SolverConfig.recycle_dim``) survive the epoch roll on purpose:
-    each worker accumulates its own cross-iteration basis over the
-    corners it keeps being assigned.
+    ``begin_solver_epoch`` call.
     """
 
     def __init__(self, device: PhotonicDevice):
@@ -592,7 +589,8 @@ class Boson1Optimizer:
             # New iteration, new pattern: refresh the Krylov
             # preconditioner anchors so the nominal corner — the first
             # permittivity factorized below — is what every other corner
-            # of this iteration recycles.  No-op for direct backends.
+            # of this iteration preconditions against.  No-op for direct
+            # backends.
             self.device.workspace.begin_solver_epoch()
         rho = self.decode(theta_t)
         nominal_powers: dict[str, dict[str, float]] | None = None

@@ -408,8 +408,8 @@ def map_ordered_with_serial_head(
 ) -> list[R]:
     """Ordered map, optionally evaluating the first item inline first.
 
-    Callers whose solver backend recycles preconditioner anchors (the
-    ``krylov`` workspace backend) run the first item in the calling
+    Callers whose solver backend reuses preconditioner anchors (the
+    ``krylov`` workspace backends) run the first item in the calling
     thread so the anchor is established deterministically before the
     fan-out.  The head is skipped for executors without shared memory
     (process pools): their workers hold their own re-warmed workspaces,

@@ -606,8 +606,9 @@ class ServeDaemon:
             if cancelled:
                 job.finished_unix = time.time()
         else:
-            job.status = "completed"
-            job.finished_unix = time.time()
+            # Write the result before the status flips: watchers poll
+            # ``job.status`` on this shared object and treat a terminal
+            # state as licence to read result.json.
             save_result(
                 {
                     "device": job.device,
@@ -620,6 +621,8 @@ class ServeDaemon:
                 },
                 self.store.result_path(job.id),
             )
+            job.status = "completed"
+            job.finished_unix = time.time()
         job.error = None
         self.store.save(job)
         self._notify()

@@ -7,11 +7,13 @@ backend, and :mod:`repro.fdfd.linalg.blocked` for the corner-block
 variant.  Backend selection is a string key (``direct`` / ``batched`` /
 ``krylov`` / ``krylov-block``) carried by :class:`SolverConfig` from the
 optimizer config and the CLI down to
-:class:`repro.fdfd.workspace.SimulationWorkspace`.
+:class:`repro.fdfd.workspace.SimulationWorkspace`.  Each Krylov backend
+runs one recurrence: ``krylov`` a BiCGStab/GMRES solve per column,
+``krylov-block`` one blocked BiCGStab per corner family, both
+preconditioned by a nearby anchor LU in full precision.
 """
 
 from repro.fdfd.linalg.base import (
-    DEFAULT_RECYCLE_DIM,
     SOLVER_REGISTRY,
     LinearSolver,
     SolveStats,
@@ -25,13 +27,8 @@ from repro.fdfd.linalg.blocked import (
     BlockedKrylovSolver,
     CornerBlockSolver,
 )
-from repro.fdfd.linalg.direct import (
-    BatchedDirectSolver,
-    DirectSolver,
-    SinglePrecisionLU,
-)
+from repro.fdfd.linalg.direct import BatchedDirectSolver, DirectSolver
 from repro.fdfd.linalg.krylov import KrylovDiagnostics, PreconditionedKrylovSolver
-from repro.fdfd.linalg.recycle import RecyclePool, RecycledSubspace
 
 __all__ = [
     "LinearSolver",
@@ -41,15 +38,11 @@ __all__ = [
     "register_solver",
     "available_backends",
     "make_linear_solver",
-    "DEFAULT_RECYCLE_DIM",
     "DirectSolver",
     "BatchedDirectSolver",
-    "SinglePrecisionLU",
     "PreconditionedKrylovSolver",
     "KrylovDiagnostics",
     "BlockedKrylovSolver",
     "CornerBlockSolver",
     "BlockDiagnostics",
-    "RecyclePool",
-    "RecycledSubspace",
 ]

@@ -43,27 +43,26 @@ __all__ = [
     "register_solver",
     "available_backends",
     "make_linear_solver",
-    "DEFAULT_RECYCLE_DIM",
 ]
-
-#: Deflation-basis size selected by the ``:recycle`` config token.  Sized
-#: to cover a typical corner family (nominal + fab corners) so one
-#: iteration's harvested solutions span the next iteration's block.
-DEFAULT_RECYCLE_DIM = 8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Backend selection + iterative-solver knobs.
 
+    Only ``backend`` matters to ``direct`` and ``batched``; every other
+    field tunes the Krylov backends.
+
     Parameters
     ----------
     backend:
         Registry key: ``"direct"`` (one SuperLU per permittivity, the
-        PR 1 behaviour), ``"batched"`` (direct, plus matrix-RHS
+        bitwise reference), ``"batched"`` (direct, plus matrix-RHS
         triangular sweeps and multi-direction forward/adjoint batching),
-        or ``"krylov"`` (BiCGStab/GMRES preconditioned by a recycled
-        nominal-corner LU, with automatic fallback to direct).
+        ``"krylov"`` (BiCGStab/GMRES preconditioned by the reused
+        nominal-corner LU, with automatic fallback to direct) or
+        ``"krylov-block"`` (krylov whose corner family is one blocked
+        BiCGStab solve).
     krylov_method:
         ``"bicgstab"`` (default) or ``"gmres"``.
     tol:
@@ -92,28 +91,6 @@ class SolverConfig:
         picks the nearest anchor in permittivity distance.
     gmres_restart:
         GMRES restart length (ignored by BiCGStab).
-    recycle_dim:
-        Size of the cross-iteration deflation basis (``0`` disables
-        recycling, the default).  When positive, the workspace keeps up
-        to this many orthonormalized solution vectors per operator set
-        and orientation (see :mod:`repro.fdfd.linalg.recycle`); Krylov
-        solves project them out of the initial residual, so warm
-        iterations — whose systems differ from the previous iteration's
-        by a small diagonal delta — start a delta away from converged
-        instead of cold.  Recycled runs follow the same solver-precision
-        determinism contract as the other Krylov knobs: trajectories
-        agree with the non-recycled baseline to ``tol``, not bitwise.
-    precond_dtype:
-        Precision of the preconditioner sweeps: ``"float64"`` (default)
-        applies the anchor LU as factorized; ``"float32"`` gives each
-        anchor a single-precision (complex64) twin at roughly half the
-        memory traffic per triangular sweep — outer Krylov recurrences
-        and residuals stay float64, and the blocked path runs iterative
-        refinement against the float64 residual first, so the achieved
-        tolerance is unchanged (solver-precision contract, like
-        ``recycle_dim``).  LU-backed exact paths (``direct`` /
-        ``batched``, anchor-exact corners, fallbacks) always solve in
-        float64 and stay bitwise.
     """
 
     backend: str = "direct"
@@ -123,8 +100,6 @@ class SolverConfig:
     fallback: bool = True
     max_anchors: int = 4
     gmres_restart: int = 30
-    recycle_dim: int = 0
-    precond_dtype: str = "float64"
 
     def __post_init__(self):
         if self.backend not in SOLVER_REGISTRY:
@@ -148,42 +123,23 @@ class SolverConfig:
                 f"gmres_restart must be >= 1, got {self.gmres_restart} "
                 "(the GMRES outer-cycle count divides maxiter by it)"
             )
-        if self.recycle_dim < 0:
-            raise ValueError(
-                f"recycle_dim must be >= 0 (0 disables recycling), "
-                f"got {self.recycle_dim}"
-            )
-        if self.precond_dtype not in ("float64", "float32"):
-            raise ValueError(
-                "precond_dtype must be 'float64' or 'float32', "
-                f"got {self.precond_dtype!r}"
-            )
 
     @classmethod
     def coerce(cls, spec: "SolverConfig | str | None") -> "SolverConfig":
         """Accept a config, a backend name, or ``None`` (-> direct).
 
-        A bare string may carry colon-separated modifiers — the grammar
-        the CLI ``--solver`` flag uses: a Krylov method name
-        (``"krylov:gmres"``) and/or ``recycle`` to enable the
-        cross-iteration deflation basis at its default size
-        (``"krylov-block:recycle"``).
+        A bare string may carry the Krylov method after a colon, e.g.
+        ``"krylov:gmres"`` — the grammar the CLI ``--solver`` flag uses.
         """
         if spec is None:
             return cls()
         if isinstance(spec, cls):
             return spec
         if isinstance(spec, str):
-            backend, *modifiers = spec.split(":")
-            kwargs: dict = {}
-            for modifier in modifiers:
-                if modifier == "recycle":
-                    kwargs["recycle_dim"] = DEFAULT_RECYCLE_DIM
-                else:
-                    # Anything else is a Krylov method name; unknown
-                    # tokens fail through krylov_method validation.
-                    kwargs["krylov_method"] = modifier
-            return cls(backend=backend, **kwargs)
+            backend, _, method = spec.partition(":")
+            if method:
+                return cls(backend=backend, krylov_method=method)
+            return cls(backend=backend)
         raise TypeError(f"cannot coerce {type(spec).__name__} to SolverConfig")
 
     def with_overrides(self, **kwargs) -> "SolverConfig":
@@ -202,11 +158,6 @@ class SolveStats:
     calls, so one block sweep amortizes what the scalar path pays once
     per column — while the per-column convergence work still lands in
     ``krylov_solves`` / ``iterations`` for like-for-like means.
-    ``deflated_columns`` counts right-hand sides whose initial residual
-    was projected against a recycled deflation basis, and
-    ``refinement_sweeps`` counts blocked float64-residual iterative-
-    refinement sweeps (the mixed-precision pre-phase) — both zero unless
-    ``recycle_dim`` / ``precond_dtype=float32`` are enabled.
     """
 
     _FIELDS = (
@@ -221,29 +172,17 @@ class SolveStats:
         "block_solves",
         "block_sweeps",
         "block_columns",
-        "deflated_columns",
-        "refinement_sweeps",
     )
 
     def __init__(self):
         self._lock = threading.Lock()
         for name in self._FIELDS:
             setattr(self, name, 0)
-        # Per-block sweep counts in completion order.  Kept outside
-        # ``_FIELDS`` (and therefore out of ``as_dict``/``merge``): it
-        # is local evidence for benchmarks and tests — warm-block sweep
-        # trajectories — not a mergeable counter.
-        self.block_sweep_trace: list[int] = []
 
     def add(self, **counts: int) -> None:
         with self._lock:
             for name, value in counts.items():
                 setattr(self, name, getattr(self, name) + int(value))
-
-    def record_block_sweeps(self, sweeps: int) -> None:
-        """Append one corner-block solve's sweep count to the trace."""
-        with self._lock:
-            self.block_sweep_trace.append(int(sweeps))
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:

@@ -48,7 +48,6 @@ from repro.fdfd.linalg.base import (
 )
 from repro.fdfd.linalg.direct import BatchedDirectSolver
 from repro.fdfd.linalg.krylov import PreconditionedKrylovSolver
-from repro.fdfd.linalg.recycle import DeflationProjector, RecyclePool
 from repro.obs.trace import span
 
 __all__ = ["BlockedKrylovSolver", "CornerBlockSolver", "BlockDiagnostics"]
@@ -103,14 +102,6 @@ class CornerBlockSolver:
         ``on_fallback(system_index, direct_solver)`` — called when a
         column's system had to be factorized directly so the owner can
         recycle the LU as a new preconditioner anchor.
-    recycle:
-        Cross-iteration deflation pool
-        (:class:`~repro.fdfd.linalg.recycle.RecyclePool`): initial
-        residuals are deflated against the basis harvested from the
-        previous iteration's converged block, and this block's solutions
-        are harvested back.  The shared-Laplacian structure makes the
-        per-system ``C_s = A_s U`` one ``L @ U`` product plus a diagonal
-        term — the same amortization as the blocked sweep itself.
     """
 
     def __init__(
@@ -123,7 +114,6 @@ class CornerBlockSolver:
         config: SolverConfig,
         stats: SolveStats | None = None,
         on_fallback: Callable[[int, BatchedDirectSolver], None] | None = None,
-        recycle: RecyclePool | None = None,
     ):
         if not eps_list:
             raise ValueError("corner block needs at least one system")
@@ -155,13 +145,6 @@ class CornerBlockSolver:
         self.config = config
         self.stats = stats or SolveStats()
         self._on_fallback = on_fallback
-        self._recycle = recycle if config.recycle_dim > 0 else None
-        # Mixed-precision sweeps: the preconditioner applies in float32
-        # (a SinglePrecisionLU twin), so prepend float64-residual
-        # iterative refinement before the BiCGStab recurrences.
-        self._mixed = (
-            config.precond_dtype == "float32" and preconditioner is not None
-        )
         self.diagnostics = BlockDiagnostics()
 
     # ------------------------------------------------------------------ #
@@ -282,25 +265,11 @@ class CornerBlockSolver:
 
         with span("solver.block_sweeps", "solver",
                   columns=int(iter_cols.size)) as sweep_span:
-            x, converged, iters, sweeps, deflated, refined = (
-                self._bicgstab_block(
-                    block[:, iter_cols], systems[iter_cols], trans
-                )
+            x, converged, iters, sweeps = self._bicgstab_block(
+                block[:, iter_cols], systems[iter_cols], trans
             )
-            sweep_span.set(
-                sweeps=sweeps,
-                deflation_dim=0 if self._recycle is None else (
-                    self._recycle.subspace(trans).size
-                ),
-                deflated_columns=deflated,
-                refinement_sweeps=refined,
-            )
-        self.stats.add(
-            block_sweeps=sweeps,
-            deflated_columns=deflated,
-            refinement_sweeps=refined,
-        )
-        self.stats.record_block_sweeps(sweeps)
+            sweep_span.set(sweeps=sweeps)
+        self.stats.add(block_sweeps=sweeps)
         self.diagnostics.sweeps += sweeps
         # Convergence record: converged columns only — a fallback column's
         # burnt budget lands in stats.wasted_iterations, not in the mean.
@@ -335,31 +304,13 @@ class CornerBlockSolver:
                 self.diagnostics.fallback_columns += len(cols)
         return out
 
-    def _harvest_corrections(
-        self, trans, x_out, seed, converged, zero_rhs
-    ) -> None:
-        """Feed converged columns' corrections into the recycled basis.
-
-        Harvests ``x - M^{-1} b`` rather than ``x``: the anchor seed
-        already supplies the solution subspace every iteration, so the
-        cross-iteration information worth keeping is the span of the
-        preconditioner's *errors* — which is what the next iteration's
-        initial residual must be deflated against.
-        """
-        if self._recycle is None:
-            return
-        good = np.flatnonzero(converged & ~zero_rhs)
-        if good.size:
-            self._recycle.harvest(trans, x_out[:, good] - seed[:, good])
-
     # ------------------------------------------------------------------ #
     # Blocked BiCGStab with per-column convergence masking               #
     # ------------------------------------------------------------------ #
     def _bicgstab_block(
         self, b: np.ndarray, systems: np.ndarray, trans: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-        """Returns ``(x, converged_mask, per_column_iterations, sweeps,
-        deflated_columns, refinement_sweeps)``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Returns ``(x, converged_mask, per_column_iterations, sweeps)``.
 
         The recurrences are the standard per-column BiCGStab scalars; the
         vector operations run over the whole *active* block, so each
@@ -371,14 +322,6 @@ class CornerBlockSolver:
         the per-sweep overhead stays proportional to the live columns.
         Breakdown columns (vanishing ``rho``/``denominator``, non-finite
         residuals) are flagged for the per-corner direct fallback.
-
-        Two optional pre-phases run before the recurrences: recycled
-        deflation (project the previous iteration's solution subspace
-        out of the initial residual — warm columns often converge here,
-        paying zero sweeps) and, under ``precond_dtype=float32``,
-        float64-residual iterative refinement (one preconditioner + one
-        operator application per sweep, half a BiCGStab sweep's cost,
-        with a stall guard falling through to the full recurrences).
         """
         n, m = b.shape
         bnorm = np.linalg.norm(b, axis=0)
@@ -390,173 +333,22 @@ class CornerBlockSolver:
         if zero_rhs.any():
             x_out[:, zero_rhs] = 0.0
         r0 = b - self._apply_operator(x_out, self.diags[:, systems], trans)
-        # Recycling harvests *corrections* x - M^{-1}b, not solutions:
-        # the anchor seed already supplies the solution subspace, so the
-        # directions worth keeping across iterations are the ones the
-        # preconditioner gets wrong — and those are what the next
-        # iteration's deflation must span.
-        seed = x_out.copy() if self._recycle is not None else None
-
-        deflated = 0
-        q_map: dict[int, DeflationProjector] = {}
-        basis = None if self._recycle is None else self._recycle.basis(trans)
-        if basis is not None:
-            # GCRO-style deflation setup: one shared L @ U serves every
-            # system's C_s = A_s U; each system QR-factors its C_s into
-            # a DeflationProjector.  The outer update below leaves each
-            # column's residual orthogonal to its Q, and the recurrence
-            # loop then iterates on the *projected* operator
-            # (I - Q Q^H) A — the recycled slow modes are removed from
-            # the spectrum, so every sweep contracts at the rate of the
-            # remaining well-clustered modes (a better initial guess
-            # alone cannot cut sweeps here; see repro.fdfd.linalg.recycle).
-            if trans == "T":
-                lu_shared = self._laplacian_t @ basis
-            else:
-                lu_shared = self._laplacian @ basis
-            for system in np.unique(systems):
-                scols = np.flatnonzero((systems == system) & ~zero_rhs)
-                if scols.size == 0:
-                    continue
-                c = lu_shared + self.diags[:, system][:, None] * basis
-                proj = DeflationProjector.build(basis, c)
-                if proj is None:
-                    continue
-                dx, r_new = proj.deflate(r0[:, scols])
-                x_out[:, scols] += dx
-                r0[:, scols] = r_new
-                q_map[int(system)] = proj
-                deflated += int(scols.size)
-
         rnorm0 = np.linalg.norm(r0, axis=0)
         converged = (rnorm0 <= thresh_full) | zero_rhs
         failed = ~np.isfinite(rnorm0)
         iters = np.zeros(m, dtype=np.int64)
         sweeps = 0
-        refinement = 0
-
-        def finish():
-            self._harvest_corrections(trans, x_out, seed, converged, zero_rhs)
-            return x_out, converged, iters, sweeps, deflated, refinement
 
         # Compacted working set: `cols` maps working position -> input
         # column; all state arrays below share that column order.
         keep = ~(converged | failed)
         cols = np.flatnonzero(keep)
         if cols.size == 0:
-            return finish()
+            return x_out, converged, iters, sweeps
         x = x_out[:, cols].copy()
         r = r0[:, cols].copy()
-        sys_cols = systems[cols]
-        diag_cols = self.diags[:, sys_cols]
+        diag_cols = self.diags[:, systems[cols]]
         thresh = thresh_full[cols]
-        if q_map:
-            # Coefficients removed by the projected operator, one column
-            # of `z` per working column; `corrected` folds them back so
-            # published solutions carry the outer component.
-            kdim = basis.shape[1]
-            z = np.zeros((kdim, cols.size), dtype=np.complex128)
-            # Shared-structure projection pieces: C_s = (L U) + d_s * U
-            # with L U shared across systems, so both C_s^H w and C_s y
-            # split into one shared gemm plus a diagonal-weighted basis
-            # gemm — the per-sweep cost is four minimal-FLOP gemms for
-            # the whole block, never a per-system wide product.
-            bh = np.ascontiguousarray(basis.conj().T)
-            luh = np.ascontiguousarray(lu_shared.conj().T)
-            no_proj = ~np.isin(sys_cols, list(q_map))
-
-        def project_block(w, sys_slice, d_slice, np_slice):
-            """In-place ``w -= C (C^H C)^{-1} C^H w``, per-column system.
-
-            ``d_slice`` holds each working column's diagonal, so
-            ``C_{s(j)}^H w_j = (L U)^H w_j + U^H (conj(d_j) * w_j)``
-            assembles for every column at once.  Returns the coefficient
-            block ``y`` so the caller can accumulate ``z``.
-            """
-            t = luh @ w + bh @ (np.conj(d_slice) * w)
-            y = np.empty_like(t)
-            for system, proj in q_map.items():
-                g = sys_slice == system
-                if g.any():
-                    y[:, g] = proj.solve_gram(t[:, g])
-            if np_slice.any():
-                # Columns whose system failed to build a projector run
-                # undeflated: their removed component is identically zero.
-                y[:, np_slice] = 0.0
-            w -= lu_shared @ y + d_slice * (basis @ y)
-            return y
-
-        def corrected(x_slice, z_slice):
-            """Inner solution -> outer solution: ``x - U z``.
-
-            ``U`` is shared by every system (only ``C_s`` differs), so
-            one gemm serves the whole slice.
-            """
-            return x_slice - basis @ z_slice
-
-        if self._mixed:
-            # Iterative refinement against the float64 residual: the
-            # float32 sweeps' rounding lands in the correction, not the
-            # accumulated solution, so the achieved tolerance matches
-            # the float64 path.  Each sweep is one preconditioner + one
-            # operator application (a BiCGStab sweep pays two of each);
-            # a column whose residual stops halving falls through to
-            # the full recurrences with its refined state.
-            prev = np.linalg.norm(r, axis=0)
-            improving = np.ones(cols.size, dtype=bool)
-            for _ in range(self.config.maxiter):
-                tgt = np.flatnonzero(improving & (prev > thresh))
-                if tgt.size == 0:
-                    break
-                refinement += 1
-                dx = self._apply_preconditioner(
-                    np.ascontiguousarray(r[:, tgt]), trans
-                )
-                correction = self._apply_operator(
-                    dx, diag_cols[:, tgt], trans
-                )
-                new = np.linalg.norm(r[:, tgt] - correction, axis=0)
-                # Stall guard: apply the sweep only where it shrank the
-                # float64 residual; a column that stops halving stops
-                # refining (keeping its progress) and falls through to
-                # the full recurrences.
-                ok = np.isfinite(new) & (new < prev[tgt])
-                good = tgt[ok]
-                if good.size:
-                    x[:, good] += dx[:, ok]
-                    r[:, good] -= correction[:, ok]
-                improving[tgt] = ok & (new <= 0.5 * prev[tgt])
-                prev[good] = new[ok]
-            done = prev <= thresh
-            if done.any():
-                # `z` is still zero here (refinement tracks the true
-                # residual directly), so refined columns publish as-is.
-                converged[cols[done]] = True
-                x_out[:, cols[done]] = x[:, done]
-                live = ~done
-                cols = cols[live]
-                x = x[:, live]
-                r = r[:, live]
-                sys_cols = sys_cols[live]
-                diag_cols = diag_cols[:, live]
-                thresh = thresh[live]
-                if q_map:
-                    z = z[:, live]
-                    no_proj = no_proj[live]
-                if cols.size == 0:
-                    return finish()
-            if q_map:
-                # Refinement sweeps are not Q-orthogonal; restore the
-                # invariant the projected recurrences preserve (residual
-                # orthogonal to Q), or the Q-component would stall above
-                # tolerance for the rest of the iteration.
-                for system, proj in q_map.items():
-                    g = np.flatnonzero(sys_cols == system)
-                    if g.size:
-                        dx, r_new = proj.deflate(r[:, g])
-                        x[:, g] += dx
-                        r[:, g] = r_new
-
         r_hat = r.copy()
         p = np.zeros_like(r)
         v = np.zeros_like(r)
@@ -576,8 +368,6 @@ class CornerBlockSolver:
 
             p_hat = self._apply_preconditioner(p, trans)
             v = self._apply_operator(p_hat, diag_cols, trans)
-            if q_map:
-                qh_v = project_block(v, sys_cols, diag_cols, no_proj)
             denom = np.einsum("ij,ij->j", np.conj(r_hat), v)
             denom_bad = ~np.isfinite(denom) | (np.abs(denom) == 0.0)
             alpha = rho_new / np.where(denom_bad, 1.0, denom)
@@ -587,8 +377,6 @@ class CornerBlockSolver:
 
             s_hat = self._apply_preconditioner(s, trans)
             t = self._apply_operator(s_hat, diag_cols, trans)
-            if q_map:
-                qh_t = project_block(t, sys_cols, diag_cols, no_proj)
             tt = np.einsum("ij,ij->j", np.conj(t), t).real
             tt_bad = tt == 0.0
             omega = np.einsum("ij,ij->j", np.conj(t), s) / np.where(
@@ -596,8 +384,6 @@ class CornerBlockSolver:
             )
 
             x += alpha * p_hat + omega * s_hat
-            if q_map:
-                z += alpha * qh_v + omega * qh_t
             r = s - omega * t
             rnorm = np.linalg.norm(r, axis=0)
             if s_done.any():
@@ -607,8 +393,6 @@ class CornerBlockSolver:
                     x[:, s_done]
                     - omega[s_done] * s_hat[:, s_done]
                 )
-                if q_map:
-                    z[:, s_done] -= omega[s_done] * qh_t[:, s_done]
                 r[:, s_done] = s[:, s_done]
                 rnorm[s_done] = snorm[s_done]
 
@@ -622,10 +406,7 @@ class CornerBlockSolver:
                 # compact every live array once.
                 converged[cols[done]] = True
                 failed[cols[bad]] = True
-                if q_map:
-                    x_out[:, cols[done]] = corrected(x[:, done], z[:, done])
-                else:
-                    x_out[:, cols[done]] = x[:, done]
+                x_out[:, cols[done]] = x[:, done]
                 live = ~(done | bad)
                 if not live.any():
                     break
@@ -635,26 +416,19 @@ class CornerBlockSolver:
                 r_hat = r_hat[:, live]
                 p = p[:, live]
                 v = v[:, live]
-                sys_cols = sys_cols[live]
                 diag_cols = diag_cols[:, live]
                 thresh = thresh[live]
                 rho_old = rho_old[live]
                 alpha = alpha[live]
                 omega = omega[live]
-                if q_map:
-                    z = z[:, live]
-                    no_proj = no_proj[live]
 
         # Unconverged stragglers: publish whatever they reached (unused —
         # the caller routes them to the direct fallback).
         still = np.flatnonzero(~(converged | failed))
         if still.size:
             live = np.isin(cols, still)
-            if q_map:
-                x_out[:, cols[live]] = corrected(x[:, live], z[:, live])
-            else:
-                x_out[:, cols[live]] = x[:, live]
-        return finish()
+            x_out[:, cols[live]] = x[:, live]
+        return x_out, converged, iters, sweeps
 
 
 @register_solver("krylov-block")
@@ -683,7 +457,6 @@ class BlockedKrylovSolver(PreconditionedKrylovSolver):
         config: SolverConfig,
         stats: SolveStats | None = None,
         on_fallback=None,
-        recycle: RecyclePool | None = None,
     ) -> CornerBlockSolver:
         """Build the block operator for one iteration's corner family."""
         return CornerBlockSolver(
@@ -695,5 +468,4 @@ class BlockedKrylovSolver(PreconditionedKrylovSolver):
             config,
             stats,
             on_fallback,
-            recycle,
         )

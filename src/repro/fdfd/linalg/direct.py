@@ -23,39 +23,7 @@ from repro.fdfd.linalg.base import (
 )
 from repro.obs.trace import span
 
-__all__ = ["DirectSolver", "BatchedDirectSolver", "SinglePrecisionLU"]
-
-
-class SinglePrecisionLU:
-    """A complex64 twin of an anchor LU, for preconditioner sweeps.
-
-    Triangular sweeps are bandwidth-bound, so halving the factor
-    precision roughly halves the memory traffic per sweep — the same
-    argument that makes the blocked ``L @ X`` win.  The twin is only
-    ever used as a *preconditioner*: outer Krylov recurrences and
-    residuals stay float64 (inputs are upcast back to complex128 on
-    return), so the achieved tolerance is governed by the float64
-    residual, not by the float32 factors.  Duck-types the
-    ``solve(b, trans=...)`` subset of :class:`scipy...SuperLU` that the
-    Krylov backends call.
-    """
-
-    dtype = np.complex64
-
-    def __init__(self, lu32: spla.SuperLU):
-        self._lu = lu32
-
-    @classmethod
-    def factorize(
-        cls, matrix: sp.csc_matrix, factor_options
-    ) -> "SinglePrecisionLU":
-        return cls(factor_options.splu(matrix.astype(np.complex64)))
-
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        out = self._lu.solve(
-            np.ascontiguousarray(rhs, dtype=np.complex64), trans=trans
-        )
-        return np.asarray(out, dtype=np.complex128)
+__all__ = ["DirectSolver", "BatchedDirectSolver"]
 
 
 @register_solver("direct")

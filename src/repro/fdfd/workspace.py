@@ -37,14 +37,6 @@ which preconditions a BiCGStab/GMRES solve for every other corner.
 :meth:`SimulationWorkspace.begin_solver_epoch` (called by the optimizer
 once per iteration) drops the anchors so the first permittivity of each
 iteration — the nominal corner — becomes the anchor its siblings recycle.
-Two opt-in refinements ride the same anchor plumbing:
-``SolverConfig.recycle_dim`` keeps a cross-iteration deflation basis per
-operator set (harvested solutions from the previous iteration's
-converged solves; *kept* across epochs — that is its point — but dropped
-by :meth:`clear`, by pickling, and whenever the block path's spread
-guard re-anchors away from the basis's neighbourhood), and
-``SolverConfig.precond_dtype == "float32"`` gives each anchor a lazy
-single-precision LU twin used only for preconditioner sweeps.
 
 Every cache is content-addressed, so a warm workspace returns the same
 bits as a cold build for the direct backends — tests assert bit-for-bit
@@ -67,8 +59,6 @@ from repro.fdfd.linalg import (
     SOLVER_REGISTRY,
     DirectSolver,
     LinearSolver,
-    RecyclePool,
-    SinglePrecisionLU,
     SolveStats,
     SolverConfig,
     make_linear_solver,
@@ -252,37 +242,18 @@ class _LRUCache:
 
 
 class _PrecondAnchor:
-    """One preconditioner anchor: permittivity + float64 LU (+ f32 twin).
+    """One preconditioner anchor: a flattened permittivity and its LU.
 
-    The float64 LU serves exact solves (anchor corners, cache seeds) and
-    float64 preconditioning — those paths are untouched by the
-    mixed-precision option and stay bitwise.  Under
-    ``precond_dtype=float32`` the anchor keeps its system matrix and
-    factorizes a complex64 twin *lazily*, the first time it actually
-    preconditions something, so exact-only anchors never pay the second
-    factorization; the matrix is released once the twin exists.
+    The LU serves exact solves (anchor corners, cache seeds) and
+    preconditions every nearby permittivity's Krylov solve; ``eps`` is
+    what the nearest-anchor search measures distance against.
     """
 
-    __slots__ = ("eps", "lu", "_matrix", "_lu32")
+    __slots__ = ("eps", "lu")
 
-    def __init__(self, eps: np.ndarray, lu, matrix=None):
+    def __init__(self, eps: np.ndarray, lu):
         self.eps = eps
         self.lu = lu
-        self._matrix = matrix
-        self._lu32 = None
-
-    def preconditioner(self, factor_options: FactorOptions, stats: SolveStats):
-        if self._matrix is None:
-            return self.lu
-        if self._lu32 is None:
-            # Benign race under thread fan-out: two threads may both
-            # factorize the twin; last assignment wins, both are valid.
-            self._lu32 = SinglePrecisionLU.factorize(
-                self._matrix, factor_options
-            )
-            stats.add(factorizations=1)
-            self._matrix = None
-        return self._lu32
 
 
 class SimulationWorkspace:
@@ -337,10 +308,6 @@ class SimulationWorkspace:
         # sweep, one omega per point — cannot pin factorizations without
         # limit.
         self._anchors: OrderedDict = OrderedDict()
-        # Cross-iteration deflation bases (SolverConfig.recycle_dim):
-        # keyed and LRU-bounded like _anchors, but *not* cleared by
-        # begin_solver_epoch — surviving epochs is their purpose.
-        self._recycle: OrderedDict = OrderedDict()
         self._anchor_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -394,8 +361,7 @@ class SimulationWorkspace:
                     registered = eps_hash in self._anchors.get(akey, ())
                 if not registered:
                     self._add_anchor(
-                        akey, eps_hash, eps.ravel().copy(), cached.lu,
-                        matrix=cached.matrix,
+                        akey, eps_hash, eps.ravel().copy(), cached.lu
                     )
             return cached
 
@@ -448,7 +414,7 @@ class SimulationWorkspace:
                 # the optimizer loop.  Factorize it; siblings recycle it.
                 lu = self.factor_options.splu(matrix)
                 self.solver_stats.add(factorizations=1)
-                anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix)
+                anchors[eps_hash] = _PrecondAnchor(eps_flat, lu)
                 return DirectSolver(matrix, lu, self.solver_stats)
             nearest = min(
                 anchors.values(),
@@ -460,48 +426,18 @@ class SimulationWorkspace:
             self.factor_options,
             config=self.solver_config,
             stats=self.solver_stats,
-            preconditioner=nearest.preconditioner(
-                self.factor_options, self.solver_stats
-            ),
+            preconditioner=nearest.lu,
             on_fallback=lambda direct: self._add_anchor(
-                akey, eps_hash, eps_flat, direct.lu, matrix=direct.matrix
+                akey, eps_hash, eps_flat, direct.lu
             ),
-            recycle=self._recycle_pool(akey),
         )
 
-    def _new_anchor(self, eps_flat, lu, matrix=None) -> _PrecondAnchor:
-        """An anchor entry, keeping the matrix only if a twin may be cut."""
-        if self.solver_config.precond_dtype != "float32":
-            matrix = None
-        return _PrecondAnchor(eps_flat, lu, matrix)
-
-    def _add_anchor(self, akey, eps_hash, eps_flat, lu, matrix=None) -> None:
+    def _add_anchor(self, akey, eps_hash, eps_flat, lu) -> None:
         with self._anchor_lock:
             anchors = self._anchor_pool(akey)
-            anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix)
+            anchors[eps_hash] = _PrecondAnchor(eps_flat, lu)
             while len(anchors) > self.solver_config.max_anchors:
                 anchors.popitem(last=False)
-
-    def _recycle_pool(self, akey) -> RecyclePool | None:
-        """The operator set's deflation pool (LRU-touched), or ``None``.
-
-        Pools deliberately survive :meth:`begin_solver_epoch` —
-        cross-iteration reuse is their purpose — but are dropped by
-        :meth:`clear`, by pickling, and when the block path's spread
-        guard re-anchors the operator set away from the pool's
-        neighbourhood (:meth:`_begin_corner_block`).
-        """
-        dim = self.solver_config.recycle_dim
-        if dim <= 0:
-            return None
-        with self._anchor_lock:
-            pool = self._recycle.get(akey)
-            if pool is None:
-                pool = self._recycle[akey] = RecyclePool(dim)
-            self._recycle.move_to_end(akey)
-            while len(self._recycle) > self._assemblies.maxsize:
-                self._recycle.popitem(last=False)
-        return pool
 
     @property
     def supports_corner_block(self) -> bool:
@@ -579,11 +515,6 @@ class SimulationWorkspace:
                     # nonzero-distance anchor off-family by definition.
                     if nearest_dist > 2.0 * spread:
                         seed_nominal = True
-                        # The anchor neighbourhood changed: solutions
-                        # harvested around the old anchor no longer span
-                        # this family's subspace, so drop the recycled
-                        # basis along with the anchor choice.
-                        self._recycle.pop(akey, None)
             if seed_nominal:
                 # Seed from the factorization LRU when it already holds
                 # an LU for the nominal permittivity (repeated-theta
@@ -593,7 +524,6 @@ class SimulationWorkspace:
                 fkey = (*akey, hashes[0])
                 cached = self._factorizations.get(fkey)
                 lu = None if cached is None else cached.lu
-                matrix = None if cached is None else cached.matrix
                 if lu is None:
                     matrix = assembly.system_matrix(eps_arrs[0])
                     lu = self.factor_options.splu(matrix)
@@ -601,9 +531,7 @@ class SimulationWorkspace:
                     self._factorizations.put(
                         fkey, DirectSolver(matrix, lu, self.solver_stats)
                     )
-                anchors[hashes[0]] = self._new_anchor(
-                    nominal_flat.copy(), lu, matrix
-                )
+                anchors[hashes[0]] = _PrecondAnchor(nominal_flat.copy(), lu)
                 while len(anchors) > self.solver_config.max_anchors:
                     anchors.popitem(last=False)
                 nearest = anchors[hashes[0]]
@@ -623,8 +551,7 @@ class SimulationWorkspace:
 
         def reanchor(system: int, direct) -> None:
             self._add_anchor(
-                akey, hashes[system], eps_arrs[system].ravel().copy(),
-                direct.lu, matrix=direct.matrix,
+                akey, hashes[system], eps_arrs[system].ravel().copy(), direct.lu
             )
             # Mirror the scalar path: the fallback solver joins the
             # factorization LRU so re-solving this permittivity (same
@@ -634,15 +561,12 @@ class SimulationWorkspace:
         return backend_cls.corner_block(
             assembly,
             eps_arrs,
-            preconditioner=nearest.preconditioner(
-                self.factor_options, self.solver_stats
-            ),
+            preconditioner=nearest.lu,
             exact_lus=exact,
             factor_options=self.factor_options,
             config=self.solver_config,
             stats=self.solver_stats,
             on_fallback=reanchor,
-            recycle=self._recycle_pool(akey),
         )
 
     @property
@@ -692,13 +616,6 @@ class SimulationWorkspace:
         anchors are stale; clearing them makes the first factorization of
         the new iteration — the nominal corner — the anchor every other
         corner recycles.  A no-op for the direct backends.
-
-        Recycled deflation bases (``SolverConfig.recycle_dim``) are
-        deliberately *kept*: an anchor LU is only a good preconditioner
-        for the iteration that factorized it, but the harvested
-        correction directions — the anchor's systematic errors on the
-        corner family — still span the next epoch's error space, which
-        is exactly what cross-iteration recycling exploits.
         """
         with self._anchor_lock:
             self._anchors.clear()
@@ -772,11 +689,9 @@ class SimulationWorkspace:
         self.solver_stats.reset()
         with self._anchor_lock:
             self._anchors.clear()
-            self._recycle.clear()
 
     # Pickling support: ship an empty workspace (LU objects cannot be
-    # pickled; worker processes re-warm their own caches, and recycled
-    # deflation bases are dropped so worker payloads stay lean).
+    # pickled; worker processes re-warm their own caches).
     def __getstate__(self):
         return {
             "factor_options": self.factor_options,

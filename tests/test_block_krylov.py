@@ -34,6 +34,7 @@ from repro.fdfd.linalg import (
     make_linear_solver,
 )
 from repro.fdfd.workspace import default_factor_options
+from repro.obs.trace import disable_tracing, enable_tracing
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
@@ -283,6 +284,36 @@ class TestCornerBlockSolver:
         b[:, 1] = 0.0
         x = block.solve_block(b)
         np.testing.assert_array_equal(x[:, 1], 0.0)
+
+
+class TestBlockSolveSpans:
+    def test_block_exact_and_fallback_spans(self, grid, eps):
+        family = corner_family(eps)
+        # maxiter=1 forces every non-anchor column through the fallback.
+        cfg = SolverConfig(backend="krylov-block", maxiter=1)
+        ws = SimulationWorkspace(solver_config=cfg)
+        assembly = ws.assembly(grid, OMEGA)
+        block = ws.begin_corner_block(assembly, family)
+        tracer = enable_tracing()
+        try:
+            block.solve_block(rhs_block(grid, len(family), seed=5))
+            records = [rec for rec in tracer.drain()]
+        finally:
+            disable_tracing()
+        by_name = {}
+        for rec in records:
+            by_name.setdefault(rec["name"], []).append(rec)
+        assert "solver.block_exact" in by_name  # the anchor column
+        assert "solver.block_fallback" in by_name
+        for rec in by_name["solver.block_exact"]:
+            assert rec["args"]["columns"] >= 1
+        # Every column is either the anchor's (exact) or iterated; with
+        # maxiter=1 most — but not necessarily all — of the non-anchor
+        # columns miss tolerance and must surface as fallback spans.
+        fell_back = sum(
+            rec["args"]["columns"] for rec in by_name["solver.block_fallback"]
+        )
+        assert 1 <= fell_back <= len(family) - 1
 
 
 # --------------------------------------------------------------------- #

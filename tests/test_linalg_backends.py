@@ -15,6 +15,7 @@ The contract, per backend:
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.autodiff import Tensor
 from repro.core import Boson1Optimizer, OptimizerConfig
@@ -65,6 +66,20 @@ def rhs_block(grid, k=3, seed=0):
     return rng.standard_normal((grid.n_cells, k)) + 1j * rng.standard_normal(
         (grid.n_cells, k)
     )
+
+
+def synthetic_system(n=120, seed=0):
+    """A small complex shifted-Laplacian family: (L, anchor diagonal)."""
+    rng = np.random.default_rng(seed)
+    lap = sp.diags(
+        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
+        offsets=(-1, 0, 1),
+        format="csc",
+        dtype=np.complex128,
+    )
+    # Indefinite complex shift, Helmholtz-like: not SPD, mildly damped.
+    d0 = -1.2 + 0.05j + 0.3 * rng.uniform(size=n)
+    return lap, d0
 
 
 class TestRegistryAndConfig:
@@ -244,6 +259,47 @@ class TestKrylovBackend:
         clone = pickle.loads(pickle.dumps(ws))
         assert clone.solver_config == ws.solver_config
         assert clone.stats()["solver"]["factorizations"] == 0
+
+
+class TestKrylovBudgetAndFallback:
+    def _hard_solver(self, **overrides):
+        """An unpreconditioned Helmholtz-like system: will not converge."""
+        lap, d0 = synthetic_system(n=200, seed=17)
+        matrix = (lap + sp.diags(d0)).tocsc()
+        cfg = SolverConfig(backend="krylov", fallback=False, **overrides)
+        return PreconditionedKrylovSolver(
+            matrix, None, default_factor_options(), cfg
+        )
+
+    def test_gmres_budget_is_exact(self):
+        """maxiter must cap *inner* iterations, not restart cycles.
+
+        The old sizing ran ceil(maxiter/restart) full cycles — up to
+        restart-1 iterations over budget (10 budgeted, 12 burnt).
+        """
+        solver = self._hard_solver(
+            krylov_method="gmres", maxiter=10, gmres_restart=4
+        )
+        b = np.ones(200, dtype=complex)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            solver.solve(b)
+        assert solver.stats.wasted_iterations <= 10
+
+    def test_solve_many_batches_after_midblock_fallback(self):
+        lap, d0 = synthetic_system(n=200, seed=17)
+        matrix = (lap + sp.diags(d0)).tocsc()
+        cfg = SolverConfig(backend="krylov", maxiter=3)
+        solver = PreconditionedKrylovSolver(
+            matrix, None, default_factor_options(), cfg
+        )
+        rng = np.random.default_rng(0)
+        rhs = rng.standard_normal((200, 5)) + 0j
+        out = solver.solve_many(rhs)
+        # Column 0 falls back mid-block; the remaining 4 columns must
+        # ride ONE batched matrix-RHS sweep, not 4 scalar round-trips.
+        assert solver.stats.fallbacks == 1
+        assert solver.stats.batched_calls == 1
+        np.testing.assert_allclose(matrix @ out, rhs, atol=1e-8)
 
 
 class TestWorkspaceStatsRates:

@@ -119,6 +119,32 @@ class TestLifecycle:
         )
         assert payload["final_loss"] == reference.final_loss
 
+    def test_result_is_written_before_status_turns_completed(
+        self, daemon, monkeypatch
+    ):
+        """A ``watch`` reply marked completed must never precede
+        result.json: the result is saved while the shared ``Job`` still
+        reads ``running``, then the status flips."""
+        import repro.core.serve as serve_mod
+
+        real_save = serve_mod.save_result
+        seen = []
+
+        def recording_save(payload, path):
+            job_id = Path(path).parent.name
+            seen.append(daemon.store.get(job_id).status)
+            return real_save(payload, path)
+
+        monkeypatch.setattr(serve_mod, "save_result", recording_save)
+        with _client(daemon) as client:
+            job = client.submit("bending", dict(CFG, iterations=1))
+            final = client.watch(job["id"])
+        assert final["status"] == "completed"
+        assert seen == ["running"]
+        assert load_result(daemon.store.result_path(job["id"]))[
+            "iterations"
+        ] == 1
+
     def test_status_and_list_carry_gauges(self, daemon):
         with _client(daemon) as client:
             job = client.submit("bending", dict(CFG))
