@@ -41,11 +41,13 @@ choosing an executor / solver
 -----------------------------
 executors (corner / sample fan-out):
   serial       default; lowest overhead, fully deterministic.
-  thread[:n]   shared-memory threads (the hot paths release the GIL);
-               bit-identical to serial for LU-backed solvers
-               (direct/batched), solver precision for preconditioned
-               ones (fallback anchors arrive in scheduling order).
-               Best on 1 machine, few cores.
+  thread[:n]   shared-memory threads; bit-identical to serial for
+               LU-backed solvers (direct/batched), solver precision for
+               preconditioned ones (fallback anchors arrive in
+               scheduling order).  SuperLU holds the GIL, so threads
+               overlap only the NumPy/FFT work around the solves, and
+               each in-flight corner keeps its own factorization live
+               (thread:2 roughly doubles peak memory).
   process[:n]  forked workers; `design` ships pickle-clean forward-solve
                payloads and reassembles gradients in the parent, so
                results match serial to solver precision.  Best when

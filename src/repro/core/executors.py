@@ -8,10 +8,16 @@ minimal executor abstraction over ``concurrent.futures`` so those sites
 can fan out without committing to a backend:
 
 * ``serial``  — in-process loop; zero overhead, always available.
-* ``thread``  — ``ThreadPoolExecutor``; effective because the hot path
-  (SuperLU factorization, BLAS solves, FFT lithography) releases the
-  GIL.  Safe for taped (autodiff) work: corner subgraphs are disjoint
-  and the tape is built from parent pointers, not global state.
+* ``thread``  — ``ThreadPoolExecutor``; shared memory, no pickling.
+  SuperLU factorization and triangular solves hold the GIL (SciPy
+  1.17: eight dl=0.05 factorizations on two threads ran at 0.87-0.96x
+  serial speed), so threads overlap only the NumPy work around them —
+  FFT lithography and dense array arithmetic.  On a 2-core host an
+  8-iteration bending design on ``thread:2`` ran at 0.87-1.18x serial
+  speed while its peak RSS roughly doubled (~210 MB to 370-400 MB:
+  every in-flight corner holds its own factorization).  Safe for taped
+  (autodiff) work: corner subgraphs are disjoint and the tape is built
+  from parent pointers, not global state.
 * ``process`` — ``ProcessPoolExecutor``; for picklable task payloads.
   Tape-free workloads (Monte-Carlo evaluation) ship whole tasks; taped
   corner losses go through the *forward-replay* seam — workers run only
@@ -274,8 +280,7 @@ class _PoolExecutor(CornerExecutor):
     #: Whether an auto-resolved single worker should skip the pool and
     #: run inline in the parent.  True for process pools (one forked
     #: worker is strictly worse than the parent doing the work); False
-    #: for threads (even one pool thread overlaps GIL-released solves
-    #: with parent-side bookkeeping and is the pre-autotune behaviour).
+    #: for threads, which keep their pre-autotune behaviour.
     _inline_single_auto_worker = False
 
     def __init__(self, max_workers: int | None = None):
@@ -334,7 +339,7 @@ class _PoolExecutor(CornerExecutor):
 
 
 class ThreadExecutor(_PoolExecutor):
-    """Thread-pool fan-out (GIL released inside SuperLU / BLAS / FFT)."""
+    """Thread-pool fan-out (shared memory; SuperLU holds the GIL)."""
 
     name = "thread"
 

@@ -16,6 +16,10 @@ those payloads over TCP instead of a fork boundary:
   ``--executor remote:host:port[,host:port...]``.  It registers as an
   executor backend, so the engine's forward-replay seam and the
   Monte-Carlo warm-pool seam route through it unchanged.
+* :class:`FrameServer` — the listener, handshake, dispatch loop and
+  drain the worker shares with the ``repro serve`` daemon
+  (:mod:`repro.core.serve`); :func:`client_handshake` is the one
+  client-side handshake both clients use.
 
 Wire protocol
 -------------
@@ -102,7 +106,9 @@ __all__ = [
     "RemoteWorkerDied",
     "RemoteFleetDead",
     "FaultInjection",
+    "FrameServer",
     "RemoteWorkerServer",
+    "client_handshake",
     "RemoteCornerExecutor",
     "parse_worker_addresses",
     "start_worker_subprocess",
@@ -334,8 +340,223 @@ def parse_worker_addresses(spec: str) -> "list[tuple[str, int]]":
 
 
 # --------------------------------------------------------------------- #
-# Worker server                                                         #
+# Servers                                                               #
 # --------------------------------------------------------------------- #
+def close_quietly(sock: socket.socket, shut: bool = False) -> None:
+    """Close ``sock``, ignoring an already-dead socket.
+
+    ``shut`` calls ``shutdown(SHUT_RDWR)`` first: closing an fd that
+    another thread is blocked in ``accept``/``recv`` on does not wake
+    that thread on Linux (and sends no FIN); shutting it down does.
+    """
+    if shut:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected / already closed (ENOTCONN, EBADF)
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+def refuse(conn: socket.socket, message: str) -> bool:
+    """Send a descriptive ``error`` frame; False ends the connection."""
+    send_frame(conn, {"kind": "error", "message": message})
+    return False
+
+
+class FrameServer:
+    """Listener, accept loop, handshake, dispatch and drain of one server.
+
+    The shared base of :class:`RemoteWorkerServer` and
+    :class:`repro.core.serve.ServeDaemon`.  It binds immediately
+    (``port=0`` picks a free port, exposed as :attr:`address`);
+    :meth:`serve_forever` accepts one handler thread per connection.
+    Each connection opens with the handshake — ``hello`` → version check
+    → heartbeat negotiation → ``welcome`` carrying :meth:`_gauge_snapshot`
+    — and then loops over frames: ``bye`` ends it, ``ping`` answers
+    ``pong``, and every other kind goes to its entry in
+    :attr:`_handlers` (``handler(conn, message, heartbeat) -> bool``,
+    False closing the connection) or is refused as unknown.
+
+    Subclasses supply :attr:`role`, the handler table, the gauges, and
+    :meth:`_drain` — what a graceful stop waits for before the
+    connections close.
+
+    ``protocol_version`` is a test knob for exercising version-skew
+    handling; leave it at the default everywhere else.
+    """
+
+    #: The server's name in refusal messages ("worker", "daemon").
+    role: str
+
+    def __init__(self, host: str, port: int, protocol_version: int):
+        self.protocol_version = int(protocol_version)
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(16)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._connections: "set[socket.socket]" = set()
+        self._handlers: "dict[str, Callable[..., bool]]" = {}
+        self._closed = False
+        self._draining = False
+
+    @property
+    def address(self) -> "tuple[str, int]":
+        return (self.host, self.port)
+
+    def _gauge_snapshot(self) -> dict:
+        """Plain-scalar health gauges shipped on ``welcome``."""
+        raise NotImplementedError
+
+    def _drain(self) -> None:
+        """Wait for in-flight work once the accept loop has ended."""
+        raise NotImplementedError
+
+    def _wake(self) -> None:
+        """Interrupt whatever waits on the server; a stop has begun."""
+
+    # ------------------------------------------------------------------ #
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown` or a graceful stop.
+
+        After :meth:`request_graceful_shutdown` the accept loop ends,
+        :meth:`_drain` waits for the subclass's in-flight work, and only
+        then do the connections close and this method return.
+        """
+        try:
+            while not self._closed:
+                try:
+                    conn, _peer = self._listener.accept()
+                except OSError:
+                    break  # listener closed by shutdown()/drain
+                threading.Thread(
+                    target=self._handle, args=(conn,), daemon=True
+                ).start()
+        finally:
+            self._drain()
+            self.shutdown()
+
+    def serve_in_thread(self) -> threading.Thread:
+        """Run the accept loop in a daemon thread (in-process tests)."""
+        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread.start()
+        return thread
+
+    def request_graceful_shutdown(self) -> None:
+        """Begin a graceful stop; safe to call from a signal handler.
+
+        Sets the drain flag, wakes the subclass's waiters and closes the
+        listener (unblocking the accept loop); :meth:`serve_forever`
+        then drains before closing connections and returning, so peers
+        see a clean EOF only after their last replies.
+        """
+        self._draining = True
+        self._wake()
+        close_quietly(self._listener, shut=True)
+
+    def shutdown(self) -> None:
+        """Stop at once: close the listener and every connection."""
+        self._closed = self._draining = True
+        self._wake()
+        close_quietly(self._listener, shut=True)
+        with self._lock:
+            connections = list(self._connections)
+            self._connections.clear()
+        for conn in connections:
+            close_quietly(conn, shut=True)
+
+    # ------------------------------------------------------------------ #
+    def _handle(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._connections.add(conn)
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # Connections legitimately idle for long stretches (pooled
+            # across optimizer iterations, watch streams between
+            # iterations), so a recv timeout would kill healthy peers.
+            # TCP keepalive instead: a client host that vanishes without
+            # FIN/RST (power loss, network partition) is reaped by the
+            # kernel in ~2 minutes rather than pinning a handler thread
+            # and fd for the kernel default of ~2 hours.
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+            for opt, value in (
+                ("TCP_KEEPIDLE", 60),
+                ("TCP_KEEPINTVL", 10),
+                ("TCP_KEEPCNT", 6),
+            ):
+                if hasattr(socket, opt):
+                    conn.setsockopt(
+                        socket.IPPROTO_TCP, getattr(socket, opt), value
+                    )
+            heartbeat = self._handshake(conn)
+            while not self._closed:
+                if not self._dispatch(conn, recv_frame(conn), heartbeat):
+                    break
+        except (RemoteWorkerDied, OSError):
+            pass  # client went away; nothing to answer
+        except RemoteProtocolError as exc:
+            try:
+                refuse(conn, str(exc))
+            except OSError:
+                pass
+        finally:
+            with self._lock:
+                self._connections.discard(conn)
+            close_quietly(conn)
+
+    def _handshake(self, conn: socket.socket) -> float:
+        """hello → version → heartbeat → welcome; the agreed heartbeat.
+
+        A refusal raises :class:`RemoteProtocolError`, which
+        :meth:`_handle` turns into the descriptive ``error`` frame.
+        """
+        hello = recv_frame(conn)
+        if hello.get("kind") != "hello":
+            raise RemoteProtocolError(
+                f"expected a hello frame, got {hello.get('kind')!r}; is "
+                "the peer a repro client?"
+            )
+        if int(hello.get("version", -1)) != self.protocol_version:
+            raise RemoteProtocolError(
+                f"protocol version mismatch: {self.role} speaks "
+                f"v{self.protocol_version}, client sent "
+                f"v{hello.get('version')!r} — upgrade the older side (both "
+                "ends must run the same repro version)"
+            )
+        heartbeat = negotiate_heartbeat(
+            hello.get("heartbeat", 1.0), hello.get("timeout")
+        )
+        send_frame(
+            conn,
+            {
+                "kind": "welcome",
+                "version": self.protocol_version,
+                "pid": os.getpid(),
+                "gauges": self._gauge_snapshot(),
+            },
+        )
+        return heartbeat
+
+    def _dispatch(
+        self, conn: socket.socket, message: dict, heartbeat: float
+    ) -> bool:
+        """Handle one client frame; False ends the connection loop."""
+        kind = message.get("kind")
+        if kind == "bye":
+            return False
+        if kind == "ping":
+            send_frame(conn, {"kind": "pong"})
+            return True
+        handler = self._handlers.get(kind)
+        if handler is None:
+            return refuse(conn, f"unknown message kind {kind!r}")
+        return handler(conn, message, heartbeat)
+
+
 @dataclass
 class FaultInjection:
     """Deterministic failure knobs for the fault-injection test harness.
@@ -351,19 +572,18 @@ class FaultInjection:
     fail_after_tasks: int | None = None
 
 
-class RemoteWorkerServer:
-    """One worker host's server: accept loop + per-connection handlers.
+class RemoteWorkerServer(FrameServer):
+    """One worker host's server: the :class:`FrameServer` plus task state.
 
-    Binds immediately (``port=0`` picks a free port, exposed as
-    :attr:`address`); :meth:`serve_forever` blocks, accepting one thread
-    per connection.  All connections share one bounded seed cache, and
-    task closures run with the same worker warm-pool protocol as forked
-    process-pool workers — a device seeded in epoch 1 stays warm for
-    every later epoch's tasks.
-
-    ``protocol_version`` is a test knob for exercising version-skew
-    handling; leave it at the default everywhere else.
+    Adds the ``seed`` and ``task`` frames.  All connections share one
+    bounded seed cache, and task closures run with the same worker
+    warm-pool protocol as forked process-pool workers — a device seeded
+    in epoch 1 stays warm for every later epoch's tasks.  A graceful
+    stop drains in-flight tasks: every started task finishes and its
+    result frame reaches the wire before the connections close.
     """
+
+    role = "worker"
 
     def __init__(
         self,
@@ -372,26 +592,14 @@ class RemoteWorkerServer:
         fault: FaultInjection | None = None,
         protocol_version: int = PROTOCOL_VERSION,
     ):
+        super().__init__(host, port, protocol_version)
         self.fault = fault
-        self.protocol_version = int(protocol_version)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._lock = threading.Lock()
+        self._handlers = {"seed": self._handle_seed, "task": self._handle_task}
         self._seeds: "OrderedDict[str, Callable]" = OrderedDict()
-        self._connections: "set[socket.socket]" = set()
         self._tasks_seen = 0
         self._tasks_done = 0
-        self._closed = False
-        self._draining = False
         self._in_flight = 0
         self._drained = threading.Condition(self._lock)
-
-    @property
-    def address(self) -> "tuple[str, int]":
-        return (self.host, self.port)
 
     def _gauge_snapshot(self) -> dict:
         """Worker health gauges shipped on welcome and busy heartbeats.
@@ -410,55 +618,9 @@ class RemoteWorkerServer:
             "rss_bytes": rss_bytes(),
         }
 
-    def serve_forever(self) -> None:
-        """Accept connections until :meth:`shutdown` (or fault death).
-
-        After :meth:`request_graceful_shutdown` the accept loop ends,
-        in-flight tasks are drained — every started task finishes and
-        its result frame reaches the wire — and only then do the
-        connections close and this method return.
-        """
-        try:
-            while not self._closed:
-                try:
-                    conn, _peer = self._listener.accept()
-                except OSError:
-                    break  # listener closed by shutdown()/drain/_die()
-                thread = threading.Thread(
-                    target=self._handle, args=(conn,), daemon=True
-                )
-                thread.start()
-        finally:
-            if self._draining and not self._closed:
-                self.wait_drained()
-            self.shutdown()
-
-    def request_graceful_shutdown(self) -> None:
-        """Begin a graceful stop; safe to call from a signal handler.
-
-        Only sets the drain flag and closes the listener (unblocking the
-        accept loop); :meth:`serve_forever` then waits for in-flight
-        tasks to finish before closing connections and returning.  The
-        CLI wires SIGTERM/SIGINT here so a worker being decommissioned
-        hands its last results back instead of dropping them — clients
-        see a clean EOF afterwards and treat the worker as departed.
-        """
-        self._draining = True
-        self._close_listener()
-
-    def _close_listener(self) -> None:
-        # shutdown() before close(): closing an fd another thread is
-        # blocked in accept(2) on does NOT wake that thread on Linux;
-        # shutting the listening socket down does (accept returns
-        # EINVAL/ECONNABORTED immediately).
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # never connected / already closed (ENOTCONN, EBADF)
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+    def _drain(self) -> None:
+        if self._draining and not self._closed:
+            self.wait_drained()
 
     def wait_drained(self, timeout: float | None = None) -> bool:
         """Block until no task is executing; True if drained in time."""
@@ -466,28 +628,6 @@ class RemoteWorkerServer:
             return self._drained.wait_for(
                 lambda: self._in_flight == 0, timeout=timeout
             )
-
-    def serve_in_thread(self) -> threading.Thread:
-        """Run the accept loop in a daemon thread (in-process tests)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-    def shutdown(self) -> None:
-        self._closed = True
-        self._close_listener()
-        with self._lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _die(self) -> None:
-        """Fault injection: drop everything abruptly, reply to nothing."""
-        self.shutdown()
 
     def _fault_triggered(self) -> bool:
         fault = self.fault
@@ -498,155 +638,31 @@ class RemoteWorkerServer:
             return self._tasks_seen > fault.fail_after_tasks
 
     # ------------------------------------------------------------------ #
-    def _handle(self, conn: socket.socket) -> None:
-        with self._lock:
-            self._connections.add(conn)
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Connections legitimately idle between map calls (the
-            # client pools them across optimizer iterations), so a recv
-            # timeout would kill healthy peers.  TCP keepalive instead:
-            # a client host that vanishes without FIN/RST (power loss,
-            # network partition) is reaped by the kernel in ~2 minutes
-            # rather than pinning a handler thread and fd forever.
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
-            for opt, value in (
-                ("TCP_KEEPIDLE", 60),
-                ("TCP_KEEPINTVL", 10),
-                ("TCP_KEEPCNT", 6),
-            ):
-                if hasattr(socket, opt):
-                    conn.setsockopt(
-                        socket.IPPROTO_TCP, getattr(socket, opt), value
-                    )
-            hello = recv_frame(conn)
-            if hello.get("kind") != "hello":
-                send_frame(
-                    conn,
-                    {
-                        "kind": "error",
-                        "message": (
-                            f"expected a hello frame, got "
-                            f"{hello.get('kind')!r}; is the client a repro "
-                            "remote executor?"
-                        ),
-                    },
-                )
-                return
-            if int(hello.get("version", -1)) != self.protocol_version:
-                send_frame(
-                    conn,
-                    {
-                        "kind": "error",
-                        "message": (
-                            f"protocol version mismatch: worker speaks "
-                            f"v{self.protocol_version}, client sent "
-                            f"v{hello.get('version')!r} — upgrade the older "
-                            "side (repro worker and the driving repro CLI "
-                            "must match)"
-                        ),
-                    },
-                )
-                return
-            try:
-                heartbeat = negotiate_heartbeat(
-                    hello.get("heartbeat", 1.0), hello.get("timeout")
-                )
-            except RemoteProtocolError as exc:
-                send_frame(conn, {"kind": "error", "message": str(exc)})
-                return
-            send_frame(
-                conn,
-                {
-                    "kind": "welcome",
-                    "version": self.protocol_version,
-                    "pid": os.getpid(),
-                    "gauges": self._gauge_snapshot(),
-                },
-            )
-            while not self._closed:
-                message = recv_frame(conn)
-                if not self._dispatch(conn, message, heartbeat):
-                    break
-        except (RemoteWorkerDied, OSError):
-            pass  # client went away; nothing to answer
-        except RemoteProtocolError as exc:
-            try:
-                send_frame(conn, {"kind": "error", "message": str(exc)})
-            except OSError:
-                pass
-        finally:
-            with self._lock:
-                self._connections.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _dispatch(
-        self, conn: socket.socket, message: dict, heartbeat: float
-    ) -> bool:
-        """Handle one client frame; False ends the connection loop."""
-        kind = message.get("kind")
-        if kind == "bye":
-            return False
-        if kind == "ping":
-            send_frame(conn, {"kind": "pong"})
-            return True
-        if kind == "seed":
-            return self._handle_seed(conn, message)
-        if kind == "task":
-            return self._handle_task(conn, message, heartbeat)
-        send_frame(
-            conn,
-            {
-                "kind": "error",
-                "message": f"unknown message kind {kind!r}",
-            },
-        )
-        return False
-
-    def _handle_seed(self, conn: socket.socket, message: dict) -> bool:
+    def _handle_seed(self, conn: socket.socket, message: dict, _hb) -> bool:
         payload = message.get("payload")
         key = message.get("key")
         if not isinstance(payload, bytes) or not isinstance(key, str):
-            send_frame(
-                conn,
-                {"kind": "error", "message": "malformed seed frame"},
-            )
-            return False
+            return refuse(conn, "malformed seed frame")
         actual = seed_key(payload)
         if actual != key:
             # The per-frame digest already rules out transit corruption,
             # so a key mismatch means client and worker disagree about
             # *which* task state this is — refuse it loudly.
-            send_frame(
+            return refuse(
                 conn,
-                {
-                    "kind": "error",
-                    "message": (
-                        f"task-state digest mismatch: client announced "
-                        f"device digest {key[:12]}… but the payload hashes "
-                        f"to {actual[:12]}… — refusing to run a different "
-                        "task state than the client intended"
-                    ),
-                },
+                f"task-state digest mismatch: client announced device "
+                f"digest {key[:12]}… but the payload hashes to "
+                f"{actual[:12]}… — refusing to run a different task state "
+                "than the client intended",
             )
-            return False
         try:
             fn = pickle.loads(payload)
         except Exception as exc:
-            send_frame(
+            return refuse(
                 conn,
-                {
-                    "kind": "error",
-                    "message": (
-                        f"could not unpickle task state: {exc!r} (worker "
-                        "and client must run compatible repro versions)"
-                    ),
-                },
+                f"could not unpickle task state: {exc!r} (worker and "
+                "client must run compatible repro versions)",
             )
-            return False
         with self._lock:
             self._seeds[key] = fn
             self._seeds.move_to_end(key)
@@ -659,7 +675,7 @@ class RemoteWorkerServer:
         self, conn: socket.socket, message: dict, heartbeat: float
     ) -> bool:
         if self._fault_triggered():
-            self._die()
+            self.shutdown()  # drop everything abruptly, reply to nothing
             return False
         key = message.get("key")
         with self._lock:
@@ -768,8 +784,72 @@ def start_worker_subprocess(
 
 
 # --------------------------------------------------------------------- #
-# Client executor                                                       #
+# Clients                                                               #
 # --------------------------------------------------------------------- #
+def client_handshake(
+    address: "tuple[str, int]",
+    timeout: float,
+    heartbeat: float,
+    role: str,
+    version: int = PROTOCOL_VERSION,
+) -> "tuple[socket.socket, dict]":
+    """Dial a :class:`FrameServer` and run the handshake; ``(sock, welcome)``.
+
+    Sends ``hello`` with the requested heartbeat and the dead-peer
+    ``timeout`` (so the server clamps the heartbeat strictly inside it,
+    or refuses a window no beat can fit) and validates the ``welcome``.
+    Raises :class:`OSError` when the ``role`` peer cannot be reached or
+    stays silent for ``timeout``, :class:`RemoteWorkerDied` when it
+    hangs up, and :class:`RemoteProtocolError` when it refuses or
+    answers out of protocol.  Any failure closes the socket — a failed
+    handshake hands nothing back that could ever close it.
+    """
+    host, port = address
+    sock = socket.create_connection(address, timeout=timeout)
+    try:
+        sock.settimeout(timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        send_frame(
+            sock,
+            {
+                "kind": "hello",
+                "version": version,
+                "heartbeat": heartbeat,
+                "timeout": timeout,
+            },
+        )
+        welcome = recv_frame(sock)
+        if welcome["kind"] == "error":
+            raise RemoteProtocolError(
+                f"{role} {host}:{port} refused the handshake: "
+                f"{welcome.get('message')}"
+            )
+        if welcome["kind"] != "welcome":
+            raise RemoteProtocolError(
+                f"{role} {host}:{port} answered the handshake with "
+                f"{welcome['kind']!r}, not welcome"
+            )
+        if int(welcome.get("version", -1)) != version:
+            raise RemoteProtocolError(
+                f"protocol version mismatch: this client speaks v{version}, "
+                f"{role} {host}:{port} answered "
+                f"v{welcome.get('version')!r} — upgrade the older side"
+            )
+    except BaseException:
+        close_quietly(sock)
+        raise
+    return sock, welcome
+
+
+def hang_up(sock: socket.socket) -> None:
+    """Client-side close: a best-effort ``bye``, then close."""
+    try:
+        send_frame(sock, {"kind": "bye"})
+    except OSError:
+        pass
+    close_quietly(sock)
+
+
 class _WorkerConnection:
     """One persistent, handshaken connection to a worker server."""
 
@@ -777,64 +857,21 @@ class _WorkerConnection:
         self, address: "tuple[str, int]", timeout: float, heartbeat: float
     ):
         self.address = address
+        host, port = address
         try:
-            self.sock = socket.create_connection(address, timeout=timeout)
+            self.sock, welcome = client_handshake(
+                address, timeout, heartbeat, "worker"
+            )
+        except socket.timeout as exc:
+            raise RemoteWorkerDied(
+                f"worker {host}:{port} did not answer within {timeout:g}s"
+            ) from exc
         except OSError as exc:
             raise RemoteWorkerDied(
-                f"could not connect to worker {address[0]}:{address[1]}: "
-                f"{exc}"
+                f"could not connect to worker {host}:{port}: {exc}"
             ) from exc
-        self.sock.settimeout(timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         #: Seed keys this worker has acknowledged.
         self.seeded: "set[str]" = set()
-        # Any handshake failure must close the just-connected socket —
-        # a failed _WorkerConnection is never cached, so nothing else
-        # could ever close it, and checkout retries (one per map call
-        # against a hung-but-listening host) would leak one fd each.
-        try:
-            try:
-                send_frame(
-                    self.sock,
-                    {
-                        "kind": "hello",
-                        "version": PROTOCOL_VERSION,
-                        "heartbeat": heartbeat,
-                        # Announcing the dead-worker timeout lets the
-                        # server clamp the heartbeat strictly inside it
-                        # (or refuse a window no beat can fit).
-                        "timeout": timeout,
-                    },
-                )
-                welcome = self._recv()
-            except socket.timeout as exc:
-                raise RemoteWorkerDied(
-                    f"worker {address[0]}:{address[1]} did not answer the "
-                    f"handshake within {timeout:g}s"
-                ) from exc
-            if welcome["kind"] == "error":
-                raise RemoteProtocolError(
-                    f"worker {address[0]}:{address[1]} refused the "
-                    f"handshake: {welcome.get('message')}"
-                )
-            if welcome["kind"] != "welcome":
-                raise RemoteProtocolError(
-                    f"worker {address[0]}:{address[1]} answered the "
-                    f"handshake with {welcome['kind']!r}, not welcome"
-                )
-            if int(welcome.get("version", -1)) != PROTOCOL_VERSION:
-                raise RemoteProtocolError(
-                    f"protocol version mismatch: this client speaks "
-                    f"v{PROTOCOL_VERSION}, worker {address[0]}:{address[1]} "
-                    f"answered v{welcome.get('version')!r} — upgrade the "
-                    "older side"
-                )
-        except BaseException:
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            raise
         self.pid = int(welcome.get("pid", -1))
         #: Latest worker gauge snapshot (queue depth, tasks completed,
         #: RSS), refreshed by welcome and every busy heartbeat.
@@ -905,14 +942,7 @@ class _WorkerConnection:
         )
 
     def close(self) -> None:
-        try:
-            send_frame(self.sock, {"kind": "bye"})
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        hang_up(self.sock)
 
 
 class _MapState:
@@ -1121,10 +1151,7 @@ class RemoteCornerExecutor(CornerExecutor):
         with self._lock:
             conn = self._connections.pop(address, None)
         if conn is not None:
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
+            close_quietly(conn.sock)
 
     def map_ordered(
         self, fn: Callable, items: "Sequence | Iterable"

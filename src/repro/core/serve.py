@@ -2,8 +2,10 @@
 
 The missing piece between "a CLI that runs one optimization" and "a
 service that takes traffic": clients submit design jobs over the same
-length-prefixed, BLAKE2b-checked frame protocol the remote executor
-speaks (:mod:`repro.core.remote`), the daemon queues them on disk,
+length-prefixed, BLAKE2b-checked frame protocol, handshake and server
+lifecycle as ``repro worker`` (:class:`repro.core.remote.FrameServer`
+and :func:`~repro.core.remote.client_handshake`), the daemon queues
+them on disk,
 runs each through :class:`~repro.core.engine.Boson1Optimizer` with
 checkpointing forced on, and streams live iteration records back to
 ``watch`` clients in the :func:`repro.obs.export.iteration_entry`
@@ -48,8 +50,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import socket
 import threading
 import time
 import traceback
@@ -62,10 +62,14 @@ from repro.core.checkpoint import find_latest_checkpoint
 from repro.core.config import OptimizerConfig
 from repro.core.remote import (
     PROTOCOL_VERSION,
+    FrameServer,
     RemoteProtocolError,
+    RemoteWorkerDied,
+    client_handshake,
     client_heartbeat_interval,
-    negotiate_heartbeat,
+    hang_up,
     recv_frame,
+    refuse,
     send_frame,
 )
 from repro.obs.export import iteration_entry
@@ -246,20 +250,22 @@ class JobStore:
 # --------------------------------------------------------------------- #
 # Daemon                                                                #
 # --------------------------------------------------------------------- #
-class ServeDaemon:
-    """Accept loop + runner threads behind ``repro serve``.
+class ServeDaemon(FrameServer):
+    """The :class:`~repro.core.remote.FrameServer` behind ``repro serve``.
 
-    Binds immediately (``port=0`` picks a free port, exposed via
-    :attr:`address`); :meth:`serve_forever` blocks, accepting one
-    handler thread per connection while ``parallel`` runner threads
-    drain the job queue.  Construction rescans ``jobs_dir`` so a
-    restarted daemon re-queues every job it was running when it died.
+    Adds the version-pinned job requests and ``parallel`` runner threads
+    that drain the job queue while :meth:`serve_forever` accepts
+    connections.  Construction rescans ``jobs_dir`` so a restarted
+    daemon re-queues every job it was running when it died; a graceful
+    stop waits for the runners, each parking its job as ``interrupted``.
 
     ``fleet`` is a list of ``(host, port)`` worker addresses; jobs that
     do not pin their own ``corner_executor`` fan corners out across it,
     and the workers' heartbeat gauges become the daemon's fleet-health
     view (surfaced on ``status``/``list``).
     """
+
+    role = "daemon"
 
     def __init__(
         self,
@@ -273,15 +279,10 @@ class ServeDaemon:
         if parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
         self.store = JobStore(jobs_dir)
+        super().__init__(host, port, protocol_version)
         self.fleet = [(str(h), int(p)) for h, p in (fleet or [])]
         self.parallel = int(parallel)
-        self.protocol_version = int(protocol_version)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._lock = threading.Lock()
+        self._handlers = {kind: self._pinned for kind in REQUEST_KINDS}
         #: Queued job ids, FIFO; guarded by ``_lock``.
         self._queue: "deque[str]" = deque()
         self._queue_cond = threading.Condition(self._lock)
@@ -291,15 +292,8 @@ class ServeDaemon:
         self._stops: "dict[str, threading.Event]" = {}
         #: Running jobs whose stop was a *cancel* (vs a daemon drain).
         self._cancel_requested: "set[str]" = set()
-        self._connections: "set[socket.socket]" = set()
         self._runners: "list[threading.Thread]" = []
-        self._closed = False
-        self._draining = False
         self._recover()
-
-    @property
-    def address(self) -> "tuple[str, int]":
-        return (self.host, self.port)
 
     # -------------------------------------------------------------- #
     # Restart recovery                                                #
@@ -359,102 +353,43 @@ class ServeDaemon:
         atomic_write_text(path, "".join(k + "\n" for k in kept))
 
     # -------------------------------------------------------------- #
-    # Lifecycle (mirrors RemoteWorkerServer)                          #
+    # Lifecycle                                                       #
     # -------------------------------------------------------------- #
     def serve_forever(self) -> None:
         """Run runners + accept loop until :meth:`shutdown` or a drain.
 
-        After :meth:`request_graceful_shutdown` the accept loop ends
-        and this method waits for every running job to finish its
-        iteration, checkpoint, and settle as ``interrupted`` before
-        returning — the state the next daemon start resumes from.
+        After :meth:`request_graceful_shutdown` queued jobs stay queued
+        (they restart clean next time) and this method waits for every
+        running job to finish its iteration, checkpoint, and settle as
+        ``interrupted`` before returning — the state the next daemon
+        start resumes from.
         """
-        self._start_runners()
-        try:
-            while not self._closed:
-                try:
-                    conn, _peer = self._listener.accept()
-                except OSError:
-                    break  # listener closed by shutdown()/drain
-                thread = threading.Thread(
-                    target=self._handle, args=(conn,), daemon=True
-                )
-                thread.start()
-        finally:
-            for runner in self._runners:
-                runner.join()
-            self.shutdown()
-
-    def serve_in_thread(self) -> threading.Thread:
-        """Run the daemon in a daemon thread (in-process tests)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-    def _start_runners(self) -> None:
         with self._lock:
-            if self._runners:
-                return
-            self._runners = [
-                threading.Thread(
-                    target=self._runner_loop,
-                    name=f"serve-runner-{i}",
-                    daemon=True,
-                )
-                for i in range(self.parallel)
-            ]
+            if not self._runners:
+                self._runners = [
+                    threading.Thread(
+                        target=self._runner_loop,
+                        name=f"serve-runner-{i}",
+                        daemon=True,
+                    )
+                    for i in range(self.parallel)
+                ]
+                for runner in self._runners:
+                    runner.start()
+        super().serve_forever()
+
+    def _drain(self) -> None:
         for runner in self._runners:
-            runner.start()
+            runner.join()
 
-    def request_graceful_shutdown(self) -> None:
-        """Soft-stop: safe from a signal handler.
-
-        Stops accepting, leaves queued jobs queued (they restart clean
-        next time), and routes a stop request into every running job's
-        loop via its cross-thread event — each finishes its iteration,
-        checkpoints, and is marked ``interrupted``.
-        """
+    def _wake(self) -> None:
+        # Route a stop into every running job's loop via its
+        # cross-thread event, and wake idle runners and watch streams.
         with self._lock:
-            self._draining = True
             for stop in self._stops.values():
                 stop.set()
             self._queue_cond.notify_all()
             self._watch_cond.notify_all()
-        self._close_listener()
-
-    def _close_listener(self) -> None:
-        # shutdown() before close(): closing an fd another thread is
-        # blocked in accept(2) on does NOT wake that thread on Linux.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def shutdown(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._draining = True
-            for stop in self._stops.values():
-                stop.set()
-            connections = list(self._connections)
-            self._queue_cond.notify_all()
-            self._watch_cond.notify_all()
-        self._close_listener()
-        for conn in connections:
-            # shutdown() first: handler threads blocked in recv(2) on
-            # this socket are not woken by a close from another thread.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def wait_idle(self, timeout: "float | None" = None) -> bool:
         """Block until nothing is queued or running; True if in time."""
@@ -631,111 +566,19 @@ class ServeDaemon:
     # -------------------------------------------------------------- #
     # Connection handling                                             #
     # -------------------------------------------------------------- #
-    def _handle(self, conn: socket.socket) -> None:
-        with self._lock:
-            self._connections.add(conn)
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
-            hello = recv_frame(conn)
-            if hello.get("kind") != "hello":
-                send_frame(
-                    conn,
-                    {
-                        "kind": "error",
-                        "message": (
-                            f"expected a hello frame, got "
-                            f"{hello.get('kind')!r}; is the client a repro "
-                            "serve client?"
-                        ),
-                    },
-                )
-                return
-            if int(hello.get("version", -1)) != self.protocol_version:
-                send_frame(
-                    conn,
-                    {
-                        "kind": "error",
-                        "message": (
-                            f"protocol version mismatch: daemon speaks "
-                            f"v{self.protocol_version}, client sent "
-                            f"v{hello.get('version')!r} — upgrade the "
-                            "older side"
-                        ),
-                    },
-                )
-                return
-            try:
-                heartbeat = negotiate_heartbeat(
-                    hello.get("heartbeat", 1.0), hello.get("timeout")
-                )
-            except RemoteProtocolError as exc:
-                send_frame(conn, {"kind": "error", "message": str(exc)})
-                return
-            send_frame(
+    def _pinned(self, conn, message, heartbeat) -> bool:
+        """Version-pinned like hello: every serve request carries the
+        protocol version, so a frame replayed from a stale client is
+        refused descriptively, not misparsed."""
+        kind = message["kind"]
+        if int(message.get("version", -1)) != self.protocol_version:
+            return refuse(
                 conn,
-                {
-                    "kind": "welcome",
-                    "version": self.protocol_version,
-                    "pid": os.getpid(),
-                    "gauges": self._gauge_snapshot(),
-                },
+                f"protocol version mismatch on {kind!r}: daemon speaks "
+                f"v{self.protocol_version}, frame carries "
+                f"v{message.get('version')!r} — upgrade the older side",
             )
-            while not self._closed:
-                message = recv_frame(conn)
-                if not self._dispatch(conn, message, heartbeat):
-                    break
-        except (OSError, RuntimeError) as exc:
-            if isinstance(exc, RemoteProtocolError):
-                try:
-                    send_frame(conn, {"kind": "error", "message": str(exc)})
-                except OSError:
-                    pass
-            # Anything else: client went away mid-frame; nothing to
-            # answer (RemoteWorkerDied subclasses RuntimeError).
-        finally:
-            with self._lock:
-                self._connections.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _dispatch(
-        self, conn: socket.socket, message: dict, heartbeat: float
-    ) -> bool:
-        kind = message.get("kind")
-        if kind == "bye":
-            return False
-        if kind == "ping":
-            send_frame(conn, {"kind": "pong"})
-            return True
-        if kind in REQUEST_KINDS:
-            # Version-pinned like hello: every serve request carries
-            # the protocol version so a frame replayed from a stale
-            # client is refused descriptively, not misparsed.
-            if int(message.get("version", -1)) != self.protocol_version:
-                send_frame(
-                    conn,
-                    {
-                        "kind": "error",
-                        "message": (
-                            f"protocol version mismatch on {kind!r}: "
-                            f"daemon speaks v{self.protocol_version}, "
-                            f"frame carries "
-                            f"v{message.get('version')!r} — upgrade the "
-                            "older side"
-                        ),
-                    },
-                )
-                return False
-            handler = getattr(self, f"_handle_{kind}")
-            return handler(conn, message, heartbeat)
-        send_frame(
-            conn,
-            {"kind": "error", "message": f"unknown message kind {kind!r}"},
-        )
-        return False
+        return getattr(self, f"_handle_{kind}")(conn, message, heartbeat)
 
     def _job_payload(self, job: Job) -> dict:
         with self._lock:
@@ -749,69 +592,37 @@ class ServeDaemon:
         device = message.get("device")
         config = message.get("config") or {}
         if device not in DEVICE_REGISTRY:
-            send_frame(
+            return refuse(
                 conn,
-                {
-                    "kind": "error",
-                    "message": (
-                        f"unknown device {device!r}; expected one of "
-                        f"{sorted(DEVICE_REGISTRY)}"
-                    ),
-                },
+                f"unknown device {device!r}; expected one of "
+                f"{sorted(DEVICE_REGISTRY)}",
             )
-            return False
         if not isinstance(config, dict):
-            send_frame(
+            return refuse(
                 conn,
-                {
-                    "kind": "error",
-                    "message": (
-                        "submit config must be a dict of OptimizerConfig "
-                        f"overrides, got {type(config).__name__}"
-                    ),
-                },
+                "submit config must be a dict of OptimizerConfig "
+                f"overrides, got {type(config).__name__}",
             )
-            return False
         probe = Job(id="probe", device=str(device), config=dict(config))
         try:
             self._job_config(probe)  # validate before anything is queued
         except (TypeError, ValueError) as exc:
-            send_frame(
-                conn,
-                {"kind": "error", "message": f"invalid job config: {exc}"},
-            )
-            return False
+            return refuse(conn, f"invalid job config: {exc}")
         with self._lock:
-            if self._draining or self._closed:
-                draining = True
-            else:
-                draining = False
+            draining = self._draining or self._closed
+            if not draining:
                 job = self.store.create(str(device), dict(config))
                 self._queue.append(job.id)
                 self._queue_cond.notify_all()
         if draining:
-            send_frame(
-                conn,
-                {
-                    "kind": "error",
-                    "message": "daemon is draining; resubmit after restart",
-                },
-            )
-            return False
+            return refuse(conn, "daemon is draining; resubmit after restart")
         send_frame(conn, {"kind": "submitted", "job": self._job_payload(job)})
         return True
 
     def _handle_status(self, conn, message, heartbeat) -> bool:
         job = self.store.get(message.get("job"))
         if job is None:
-            send_frame(
-                conn,
-                {
-                    "kind": "error",
-                    "message": f"unknown job {message.get('job')!r}",
-                },
-            )
-            return False
+            return refuse(conn, f"unknown job {message.get('job')!r}")
         send_frame(
             conn,
             {
@@ -838,14 +649,7 @@ class ServeDaemon:
     def _handle_cancel(self, conn, message, heartbeat) -> bool:
         job = self.store.get(message.get("job"))
         if job is None:
-            send_frame(
-                conn,
-                {
-                    "kind": "error",
-                    "message": f"unknown job {message.get('job')!r}",
-                },
-            )
-            return False
+            return refuse(conn, f"unknown job {message.get('job')!r}")
         with self._lock:
             if job.id in self._queue:
                 self._queue.remove(job.id)
@@ -865,14 +669,7 @@ class ServeDaemon:
     def _handle_watch(self, conn, message, heartbeat) -> bool:
         job = self.store.get(message.get("job"))
         if job is None:
-            send_frame(
-                conn,
-                {
-                    "kind": "error",
-                    "message": f"unknown job {message.get('job')!r}",
-                },
-            )
-            return False
+            return refuse(conn, f"unknown job {message.get('job')!r}")
         path = self.store.progress_path(job.id)
         offset = 0
         buffered = ""
@@ -953,54 +750,21 @@ class ServeClient:
         self.address = (str(address[0]), int(address[1]))
         self.timeout = float(timeout)
         self.protocol_version = int(protocol_version)
-        self.sock = socket.create_connection(self.address, timeout=timeout)
-        self.sock.settimeout(self.timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        #: Latest daemon gauge snapshot (welcome + busy keepalives).
-        self.gauges: dict = {}
         try:
-            send_frame(
-                self.sock,
-                {
-                    "kind": "hello",
-                    "version": self.protocol_version,
-                    "heartbeat": client_heartbeat_interval(self.timeout),
-                    "timeout": self.timeout,
-                },
+            self.sock, welcome = client_handshake(
+                self.address,
+                self.timeout,
+                client_heartbeat_interval(self.timeout),
+                "daemon",
+                self.protocol_version,
             )
-            welcome = recv_frame(self.sock)
-            if welcome.get("kind") == "error":
-                raise ServeError(
-                    f"daemon {self.address[0]}:{self.address[1]} refused "
-                    f"the handshake: {welcome.get('message')}"
-                )
-            if welcome.get("kind") != "welcome":
-                raise ServeError(
-                    f"expected welcome, got {welcome.get('kind')!r}"
-                )
-            if int(welcome.get("version", -1)) != self.protocol_version:
-                raise ServeError(
-                    f"protocol version mismatch: client speaks "
-                    f"v{self.protocol_version}, daemon answered "
-                    f"v{welcome.get('version')!r}"
-                )
-            self.gauges = dict(welcome.get("gauges") or {})
-        except BaseException:
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            raise
+        except (RemoteProtocolError, RemoteWorkerDied) as exc:
+            raise ServeError(str(exc)) from exc
+        #: Latest daemon gauge snapshot (welcome + busy keepalives).
+        self.gauges: dict = dict(welcome.get("gauges") or {})
 
     def close(self) -> None:
-        try:
-            send_frame(self.sock, {"kind": "bye"})
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        hang_up(self.sock)
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -44,6 +44,7 @@ from repro.core.remote import (
     RemoteCornerExecutor,
     RemoteProtocolError,
     RemoteTaskError,
+    RemoteWorkerDied,
     RemoteWorkerServer,
     client_heartbeat_interval,
     negotiate_heartbeat,
@@ -660,6 +661,29 @@ class TestProtocolHygiene:
             assert "corrupted" in reply["message"]
             sock.close()
         finally:
+            server.shutdown()
+
+    def test_shutdown_wakes_idle_client_with_eof(self):
+        """server.shutdown() must wake a handler blocked in recv and send
+        FIN: an idle, handshaken client sees EOF at once instead of
+        waiting out its own socket timeout."""
+        server = RemoteWorkerServer()
+        server.serve_in_thread()
+        sock = socket.create_connection(server.address, timeout=5.0)
+        sock.settimeout(5.0)
+        try:
+            send_frame(
+                sock,
+                {"kind": "hello", "version": PROTOCOL_VERSION, "heartbeat": 0.5},
+            )
+            assert recv_frame(sock)["kind"] == "welcome"
+            server.shutdown()
+            start = time.monotonic()
+            with pytest.raises(RemoteWorkerDied):
+                recv_frame(sock)
+            assert time.monotonic() - start < 1.0
+        finally:
+            sock.close()
             server.shutdown()
 
     def test_unpicklable_task_state_raises_locally(self, worker_pair):

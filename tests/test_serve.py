@@ -36,7 +36,12 @@ import pytest
 from repro.core.checkpoint import find_latest_checkpoint
 from repro.core.config import OptimizerConfig
 from repro.core.engine import Boson1Optimizer
-from repro.core.remote import PROTOCOL_VERSION, recv_frame, send_frame
+from repro.core.remote import (
+    PROTOCOL_VERSION,
+    RemoteWorkerServer,
+    recv_frame,
+    send_frame,
+)
 from repro.core.serve import JobStore, ServeClient, ServeDaemon, ServeError
 from repro.devices import make_device
 from repro.utils.io import load_result
@@ -322,6 +327,29 @@ class TestProtocolHygiene:
         finally:
             sock.close()
 
+    @pytest.mark.skipif(
+        not hasattr(socket, "TCP_KEEPIDLE"),
+        reason="platform lacks TCP_KEEPIDLE/KEEPINTVL/KEEPCNT",
+    )
+    def test_connections_get_tuned_keepalive(self, daemon):
+        """A vanished watch client is reaped in ~2 min (60 s idle + 6
+        probes 10 s apart), not the kernel default of ~2 h 11 min."""
+        with _client(daemon, timeout=5.0):
+            (conn,) = list(daemon._connections)
+            assert conn.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            tuned = {
+                name: conn.getsockopt(
+                    socket.IPPROTO_TCP, getattr(socket, name)
+                )
+                for name in ("TCP_KEEPIDLE", "TCP_KEEPINTVL", "TCP_KEEPCNT")
+            }
+            assert tuned == {
+                "TCP_KEEPIDLE": 60,
+                "TCP_KEEPINTVL": 10,
+                "TCP_KEEPCNT": 6,
+            }
+
     @pytest.mark.parametrize("kind", ["status", "watch", "cancel"])
     def test_unknown_job_is_refused(self, daemon, kind):
         with _client(daemon, timeout=5.0) as client:
@@ -339,6 +367,75 @@ class TestProtocolHygiene:
                 client.submit("bending", {"iterations": -3})
         with _client(daemon, timeout=5.0) as client:
             assert client.list_jobs()["jobs"] == []
+
+
+# --------------------------------------------------------------------- #
+# One wire contract for both servers                                    #
+# --------------------------------------------------------------------- #
+@pytest.fixture(params=["worker", "daemon"])
+def any_server(request, tmp_path):
+    """Each FrameServer subclass, serving on loopback."""
+    if request.param == "worker":
+        server = RemoteWorkerServer()
+    else:
+        server = ServeDaemon(tmp_path / "jobs")
+    server.serve_in_thread()
+    yield server
+    server.shutdown()
+
+
+def _raw_connection(server, hello=True):
+    sock = socket.create_connection(server.address, timeout=5.0)
+    sock.settimeout(5.0)
+    if hello:
+        send_frame(
+            sock,
+            {"kind": "hello", "version": PROTOCOL_VERSION, "heartbeat": 0.5},
+        )
+        assert recv_frame(sock)["kind"] == "welcome"
+    return sock
+
+
+class TestWireContract:
+    """Frames every server answers identically, whatever it serves."""
+
+    def test_ping_answers_pong(self, any_server):
+        sock = _raw_connection(any_server)
+        try:
+            send_frame(sock, {"kind": "ping"})
+            assert recv_frame(sock) == {"kind": "pong"}
+        finally:
+            sock.close()
+
+    def test_unknown_kind_errors_then_closes(self, any_server):
+        sock = _raw_connection(any_server)
+        try:
+            send_frame(sock, {"kind": "frobnicate"})
+            reply = recv_frame(sock)
+            assert reply["kind"] == "error"
+            assert "unknown message kind 'frobnicate'" in reply["message"]
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+
+    def test_bye_ends_with_clean_eof(self, any_server):
+        sock = _raw_connection(any_server)
+        try:
+            send_frame(sock, {"kind": "bye"})
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+
+    def test_first_frame_must_be_hello(self, any_server):
+        sock = _raw_connection(any_server, hello=False)
+        try:
+            send_frame(sock, {"kind": "ping"})
+            reply = recv_frame(sock)
+            assert reply["kind"] == "error"
+            assert "expected a hello frame" in reply["message"]
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
 
 
 # --------------------------------------------------------------------- #
