@@ -30,7 +30,11 @@ from repro.core.checkpoint import (
     resolve_resume,
 )
 from repro.core.config import OptimizerConfig
-from repro.core.engine import Boson1Optimizer, OptimizationResult
+from repro.core.engine import (
+    Boson1Optimizer,
+    NonFiniteStepError,
+    OptimizationResult,
+)
 from repro.core.executors import (
     CornerExecutor,
     ProcessExecutor,
@@ -58,6 +62,7 @@ __all__ = [
     "OptimizerConfig",
     "Boson1Optimizer",
     "OptimizationResult",
+    "NonFiniteStepError",
     "DesignCheckpoint",
     "CheckpointManager",
     "CheckpointError",

@@ -68,9 +68,35 @@ from repro.params.initializers import (
 )
 from repro.utils.seeding import get_rng_state, rng_from_seed, set_rng_state
 
-__all__ = ["Boson1Optimizer", "OptimizationResult", "IterationRecord"]
+__all__ = [
+    "Boson1Optimizer",
+    "OptimizationResult",
+    "IterationRecord",
+    "NonFiniteStepError",
+]
 
 log = logging.getLogger("repro.engine")
+
+
+class NonFiniteStepError(FloatingPointError):
+    """An iteration produced a non-finite loss or gradient.
+
+    Raised before the iteration is recorded, streamed, stepped or
+    checkpointed, so theta, the Adam state and the last checkpoint all
+    still describe the last good iteration.
+    """
+
+
+def _check_finite_step(iteration: int, loss: float, grad: np.ndarray) -> None:
+    """Raise :class:`NonFiniteStepError` unless loss and gradient are finite."""
+    bad = int(grad.size - np.count_nonzero(np.isfinite(grad)))
+    if np.isfinite(loss) and bad == 0:
+        return
+    raise NonFiniteStepError(
+        f"iteration {iteration}: non-finite step (loss={loss!r}, "
+        f"{bad} of {grad.size} gradient entries non-finite); the step "
+        f"was refused, so theta and the last checkpoint predate it"
+    )
 
 
 class _CornerWorkerState:
@@ -586,11 +612,12 @@ class Boson1Optimizer:
 
     def _loss_impl(self, theta_t, iteration):
         if self.device.workspace is not None:
-            # New iteration, new pattern: refresh the Krylov
-            # preconditioner anchors so the nominal corner — the first
-            # permittivity factorized below — is what every other corner
-            # of this iteration preconditions against.  No-op for direct
-            # backends.
+            # New iteration, new pattern: retire last iteration's
+            # solvers (their LUs are released by the first factorization
+            # below) and refresh the Krylov preconditioner anchors so the
+            # nominal corner — the first permittivity factorized below —
+            # is what every other corner of this iteration
+            # preconditions against.
             self.device.workspace.begin_solver_epoch()
         rho = self.decode(theta_t)
         nominal_powers: dict[str, dict[str, float]] | None = None
@@ -783,7 +810,9 @@ class Boson1Optimizer:
         True), and a fully-dead remote fleet checkpoints, logs the
         per-worker failures, and degrades to serial execution instead of
         aborting the run (degradation happens with or without
-        checkpointing).
+        checkpointing).  A non-finite loss or gradient raises
+        :class:`NonFiniteStepError` before that iteration reaches the
+        history, the callback, Adam or a checkpoint.
         """
         n_iter = iterations if iterations is not None else self.config.iterations
         adam = Adam(lr=self.config.effective_lr)
@@ -922,6 +951,7 @@ class Boson1Optimizer:
                         if theta_t.grad is not None
                         else np.zeros_like(theta)
                     )
+                    _check_finite_step(it, loss.item(), grad)
                     record = IterationRecord(
                         iteration=it,
                         loss=loss.item(),

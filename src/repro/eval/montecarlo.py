@@ -154,7 +154,17 @@ def _evaluate_sample(
 
     Module-level (not a closure) so the process backend can pickle it;
     worker processes re-warm their own simulation caches.
+
+    Each sample is one factorization reuse unit: its calibration run
+    and its design solve never share a permittivity with another
+    sample, so the sample starts by retiring the previous sample's
+    solvers (:meth:`~repro.fdfd.workspace.SimulationWorkspace.retire_solvers`).
+    Every fan-out path (serial, thread, process, remote) runs through
+    here, so on every path a sample's LUs are released as soon as the
+    next sample on that workspace stores its first one.
     """
+    if device.workspace is not None:
+        device.workspace.retire_solvers()
     device = device.for_corner(corner)
     fabbed = process.apply_array(pattern, corner)
     alpha_bg = alpha_of_temperature(corner.temperature_k)

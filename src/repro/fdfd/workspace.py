@@ -19,7 +19,8 @@ module caches the invariants:
     constants of an optimization) and LU factorizations keyed by the
     permittivity bytes (corners sharing a permittivity — e.g. the
     worst-corner probe and the nominal corner, or the two directions of
-    a reciprocal device — factorize once).
+    a reciprocal device — factorize once; see below for how long they
+    are kept).
 
 ``FactorOptions``
     SuperLU configuration.  The default exploits the near-symmetry of
@@ -37,6 +38,18 @@ which preconditions a BiCGStab/GMRES solve for every other corner.
 :meth:`SimulationWorkspace.begin_solver_epoch` (called by the optimizer
 once per iteration) drops the anchors so the first permittivity of each
 iteration — the nominal corner — becomes the anchor its siblings recycle.
+
+How long a factorization lives: cached solvers belong to one
+*generation*, a reuse unit — one optimizer iteration, or one
+Monte-Carlo sample.  Every cache hit the workloads make falls inside
+such a unit (a corner reusing the worst-corner probe's LU, two corners
+sharing a permittivity); nothing reads an LU from an earlier unit.
+:meth:`SimulationWorkspace.retire_solvers` (called by
+``begin_solver_epoch`` and at the start of each Monte-Carlo sample)
+closes a generation: its solvers still hit until the next solver is
+stored, and that store releases them all.  So a worker holds the LUs of
+the unit it is working on, not ``max_factorizations`` of them.  Krylov
+anchors keep their own lifetime (until the next epoch).
 
 Every cache is content-addressed, so a warm workspace returns the same
 bits as a cold build for the direct backends — tests assert bit-for-bit
@@ -206,11 +219,17 @@ def _hash_array(arr: np.ndarray) -> bytes:
 
 
 class _LRUCache:
-    """A tiny thread-safe LRU map (inserted-value cache)."""
+    """A tiny thread-safe LRU map (inserted-value cache).
+
+    :meth:`retire` moves every entry into a *previous generation*: a
+    retired entry still hits (and rejoins the current generation) until
+    the next :meth:`put`, which releases whatever is still retired.
+    """
 
     def __init__(self, maxsize: int):
         self.maxsize = int(maxsize)
         self._store: OrderedDict = OrderedDict()
+        self._retired: dict = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -221,22 +240,33 @@ class _LRUCache:
                 self._store.move_to_end(key)
                 self.hits += 1
                 return self._store[key]
+            if key in self._retired:
+                self._store[key] = self._retired.pop(key)
+                self.hits += 1
+                return self._store[key]
             self.misses += 1
             return None
 
     def put(self, key, value):
         with self._lock:
+            self._retired.clear()
             self._store[key] = value
             self._store.move_to_end(key)
             while len(self._store) > self.maxsize:
                 self._store.popitem(last=False)
 
+    def retire(self) -> None:
+        with self._lock:
+            self._retired.update(self._store)
+            self._store.clear()
+
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._store) + len(self._retired)
 
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
+            self._retired.clear()
             self.hits = 0
             self.misses = 0
 
@@ -264,11 +294,13 @@ class SimulationWorkspace:
     max_assemblies:
         Distinct ``(grid, omega, pml)`` operator sets to keep.
     max_factorizations:
-        LU factorizations retained, keyed by permittivity content.  One
-        optimizer iteration revisits a permittivity at most a handful of
-        times (worst-probe + nominal corner, fwd/bwd directions), so a
-        small bound suffices; factorizations of superseded patterns age
-        out on their own.
+        LU factorizations retained within one generation, keyed by
+        permittivity content.  One optimizer iteration revisits a
+        permittivity at most a handful of times (worst-probe + nominal
+        corner, fwd/bwd directions), so a small bound suffices.
+        Factorizations of superseded patterns do not wait for eviction:
+        :meth:`retire_solvers` ends a generation and the next stored
+        solver releases it.
     max_modes:
         Slab-mode solutions retained, keyed by cross-section content.
     factor_options:
@@ -349,7 +381,8 @@ class SimulationWorkspace:
         cached = self._factorizations.get(key)
         if cached is not None:
             if cached.lu is not None and self.solver_uses_preconditioner:
-                # A cached LU that survived an epoch reset is still a
+                # A cached LU hit after an epoch reset (a retired solver
+                # the new epoch has not released yet) is still a
                 # perfectly good anchor: re-register it so the epoch's
                 # sibling corners precondition against it instead of
                 # paying a fresh factorization (re-evaluating the same
@@ -554,8 +587,8 @@ class SimulationWorkspace:
                 akey, hashes[system], eps_arrs[system].ravel().copy(), direct.lu
             )
             # Mirror the scalar path: the fallback solver joins the
-            # factorization LRU so re-solving this permittivity (same
-            # theta, next epoch) is a cache hit, not a refactorization.
+            # factorization LRU so re-solving this permittivity within
+            # the epoch is a cache hit, not a refactorization.
             self._factorizations.put((*akey, hashes[system]), direct)
 
         return backend_cls.corner_block(
@@ -609,14 +642,30 @@ class SimulationWorkspace:
         if counts:
             self.solver_stats.merge(counts)
 
+    def retire_solvers(self) -> None:
+        """End a reuse unit: cached solvers become the previous generation.
+
+        Called at the start of every optimizer iteration (through
+        :meth:`begin_solver_epoch`) and of every Monte-Carlo sample.  A
+        retired solver still serves a cache hit — re-evaluating the same
+        design refactorizes nothing — until the next solver is stored,
+        which releases every retired one.  The release is deliberately
+        lazy: the old LUs are freed as the new one lands, so the
+        allocator reuses their pages instead of returning them to the OS
+        and faulting them back in for the next factorization.
+        """
+        self._factorizations.retire()
+
     def begin_solver_epoch(self) -> None:
-        """Drop preconditioner anchors (start of an optimizer iteration).
+        """Start an optimizer iteration: retire solvers, drop anchors.
 
         The design pattern changes every iteration, so last iteration's
-        anchors are stale; clearing them makes the first factorization of
-        the new iteration — the nominal corner — the anchor every other
-        corner recycles.  A no-op for the direct backends.
+        solvers and anchors are stale.  Solvers are retired (see
+        :meth:`retire_solvers`) on every backend; clearing the Krylov
+        anchors makes the first factorization of the new iteration — the
+        nominal corner — the anchor every other corner recycles.
         """
+        self.retire_solvers()
         with self._anchor_lock:
             self._anchors.clear()
 

@@ -40,7 +40,8 @@ import numpy as np
 import pytest
 
 import repro.core.remote as remote_mod
-from repro.core import Boson1Optimizer, OptimizerConfig
+from repro.autodiff import sqrt as ad_sqrt
+from repro.core import Boson1Optimizer, NonFiniteStepError, OptimizerConfig
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointCorruptError,
@@ -534,6 +535,57 @@ class TestCrashAndSignalResume:
         assert not resumed.interrupted
         assert np.array_equal(resumed.fom_trace(), ref.fom_trace())
         assert np.array_equal(resumed.theta, ref.theta)
+
+
+# --------------------------------------------------------------------- #
+# Non-finite step guard                                                 #
+# --------------------------------------------------------------------- #
+class TestNonFiniteStep:
+    """A NaN loss or gradient fails the run before it is recorded,
+    stepped or checkpointed, so the newest checkpoint stays valid."""
+
+    def _poisoned_run(self, bend, tmp_path, poison):
+        opt = _make_opt(bend, "direct", checkpoint_dir=str(tmp_path))
+        clean_loss = opt.loss
+
+        def loss_at(theta_t, iteration):
+            total, powers, n_corners = clean_loss(theta_t, iteration)
+            if iteration == 1:
+                total = poison(total, theta_t)
+            return total, powers, n_corners
+
+        opt.loss = loss_at
+        seen = []
+        with pytest.raises(NonFiniteStepError) as info:
+            opt.run(callback=seen.append)
+        assert [r.iteration for r in seen] == [0]
+        assert [p.name for p in list_checkpoints(tmp_path)] == [
+            CheckpointManager(tmp_path).path_for(1).name
+        ]
+        _path, ckpt = resolve_resume("auto", tmp_path)
+        assert ckpt.next_iteration == 1
+        assert len(ckpt.history) == 1
+        assert np.all(np.isfinite(ckpt.theta))
+        return str(info.value)
+
+    def test_nan_loss_raises_before_checkpoint(self, bend, tmp_path):
+        message = self._poisoned_run(
+            bend, tmp_path, lambda total, _theta: total * float("nan")
+        )
+        assert "iteration 1" in message
+        assert "loss=nan" in message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_gradient_raises_before_checkpoint(self, bend, tmp_path):
+        # sqrt(0 * theta) is 0 in the forward pass; its backward pass is
+        # inf * 0 = nan in every entry, so only the gradient is poisoned.
+        def poison(total, theta):
+            return total + ad_sqrt(theta * 0.0).sum()
+
+        message = self._poisoned_run(bend, tmp_path, poison)
+        assert "iteration 1" in message
+        assert "loss=nan" not in message
+        assert "gradient entries non-finite" in message
 
 
 # --------------------------------------------------------------------- #

@@ -6,11 +6,16 @@ gradients as the cold rebuild-everything path.  Anything weaker would
 silently change optimization trajectories.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
+from repro.core import Boson1Optimizer, OptimizerConfig
 from repro.devices import make_device
+from repro.eval import evaluate_post_fab
+from repro.fab.process import FabricationProcess
 from repro.fdfd import (
     FactorOptions,
     HelmholtzSolver,
@@ -252,3 +257,90 @@ class TestSharedWorkspace:
         assert clone.stats()["assemblies"]["size"] == 0
         assert clone._factorizations.maxsize == 3
         assert clone.factor_options == ws.factor_options
+
+
+class TestSolverGenerations:
+    """Cached solvers live for one reuse unit (an optimizer iteration or
+    a Monte-Carlo sample): retired at its end, released by the next
+    unit's first stored solver."""
+
+    def _solver(self, ws, grid, eps):
+        return ws.linear_solver(ws.assembly(grid, OMEGA), eps)
+
+    def test_new_factorization_releases_previous_generation(self, grid, eps):
+        ws = SimulationWorkspace()
+        old = [self._solver(ws, grid, eps + k) for k in range(3)]
+        refs = [weakref.ref(s) for s in old]
+        del old
+        ws.begin_solver_epoch()
+        assert ws.stats()["factorizations"]["size"] == 3  # lazy release
+        keep = self._solver(ws, grid, eps + 10.0)
+        assert ws.stats()["factorizations"]["size"] == 1
+        assert all(ref() is None for ref in refs)
+        assert keep is self._solver(ws, grid, eps + 10.0)
+
+    def test_retired_solver_hits_until_next_store(self, grid, eps):
+        ws = SimulationWorkspace()
+        a = self._solver(ws, grid, eps)
+        b = self._solver(ws, grid, eps + 1.0)
+        factorized = ws.stats()["solver"]["factorizations"]
+        ws.retire_solvers()
+        # Same-theta re-evaluation: every solve hits, nothing refactorizes.
+        assert self._solver(ws, grid, eps) is a
+        assert self._solver(ws, grid, eps + 1.0) is b
+        assert ws.stats()["solver"]["factorizations"] == factorized
+        # A hit rejoins the current generation and outlives the release.
+        ws.retire_solvers()
+        assert self._solver(ws, grid, eps) is a
+        b_ref = weakref.ref(b)
+        del b
+        self._solver(ws, grid, eps + 2.0)
+        assert b_ref() is None
+        assert self._solver(ws, grid, eps) is a
+        assert ws.stats()["factorizations"]["size"] == 2
+
+    def test_same_design_re_evaluation_refactorizes_nothing(self):
+        device = make_device("bending")
+        ws = SimulationWorkspace()
+        device.configure_simulation_cache(True, ws)
+        pattern = rasterize_segments(
+            device.design_shape, device.dl, device.init_segments()
+        )
+        first = device.port_powers_array(pattern, "fwd")
+        factorized = ws.stats()["solver"]["factorizations"]
+        ws.begin_solver_epoch()
+        assert device.port_powers_array(pattern, "fwd") == first
+        assert ws.stats()["solver"]["factorizations"] == factorized
+
+    def test_serial_monte_carlo_holds_one_sample_of_lus(self):
+        device = make_device("bending")
+        ws = SimulationWorkspace()
+        device.configure_simulation_cache(True, ws)
+        process = FabricationProcess(
+            device.design_shape,
+            device.dl,
+            context=device.litho_context(12),
+            pad=12,
+        )
+        pattern = rasterize_segments(
+            device.design_shape, device.dl, device.init_segments()
+        )
+        n = 4
+        evaluate_post_fab(device, process, pattern, n_samples=n, seed=0)
+        stats = ws.stats()
+        assert stats["factorizations"]["size"] <= 2
+        assert stats["solver"]["factorizations"] == 2 * n
+
+    def test_design_run_keeps_within_iteration_reuse(self):
+        # Every hit of a design loop falls inside one iteration (a corner
+        # reusing the worst-corner probe's or a sibling corner's LU), so
+        # retiring solvers per iteration keeps the counts a never-retiring
+        # LRU of 8 measures: 20 hits, 103 misses.
+        device = make_device("bending")
+        ws = SimulationWorkspace()
+        device.configure_simulation_cache(True, ws)
+        Boson1Optimizer(
+            device, OptimizerConfig(iterations=12, seed=1, solver="direct")
+        ).run()
+        stats = ws.stats()["factorizations"]
+        assert (stats["hits"], stats["misses"]) == (20, 103)
