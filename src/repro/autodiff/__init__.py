@@ -18,6 +18,11 @@ Design notes
 * The graph is a dynamic tape (define-by-run): each :class:`Tensor` records
   its parents and a backward closure; ``Tensor.backward()`` walks the tape
   in reverse topological order.
+* ``backward()`` consumes the tape: each node drops its closures, and the
+  residuals they hold (fields, LU solvers), as soon as its cotangent has
+  been propagated.  A second ``backward()`` through a consumed node
+  raises :class:`RuntimeError`; rebuild the graph from the leaves to
+  differentiate again.
 * Broadcasting follows numpy semantics; gradients are un-broadcast by
   summation, as in autograd/JAX.
 

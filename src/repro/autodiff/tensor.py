@@ -133,6 +133,13 @@ class Tensor:
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Backpropagate from this tensor through the recorded tape.
 
+        The pass consumes the tape: once a node's cotangent has been
+        propagated, the node drops its parents and backward closures, and
+        with them every residual those closures hold (FDFD fields, LU
+        solvers).  A later ``backward()`` that reaches a consumed node
+        raises :class:`RuntimeError` before accumulating any gradient;
+        rebuild the graph from its leaves to differentiate again.
+
         Parameters
         ----------
         grad:
@@ -149,35 +156,50 @@ class Tensor:
         grad = np.broadcast_to(_as_array(grad), self.data.shape).astype(np.float64)
 
         order = self._toposort()
+        for node in order:
+            if node._consumed:
+                raise RuntimeError(
+                    f"backward() reached a {node._op_name!r} node whose tape "
+                    "an earlier backward() already consumed; rebuild the "
+                    "graph from its leaves to differentiate again"
+                )
         grads: dict[int, np.ndarray] = {id(self): np.array(grad, copy=True)}
         for node in order:
             node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node.requires_grad and not node._parents:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad = node.grad + node_grad
-            elif node.requires_grad and node._parents:
-                # Interior nodes may also be flagged to retain grads.
-                pass
-            for parent, fn in zip(node._parents, node._backward_fns):
-                if not parent._needs_grad():
-                    continue
-                contribution = fn(node_grad)
-                if contribution is None:
-                    continue
-                contribution = _unbroadcast(
-                    np.asarray(contribution, dtype=np.float64), parent.shape
-                )
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
-                else:
-                    grads[key] = contribution
+            if node_grad is not None:
+                if node.requires_grad and not node._parents:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad = node.grad + node_grad
+                for parent, fn in zip(node._parents, node._backward_fns):
+                    if not parent._needs_grad():
+                        continue
+                    contribution = fn(node_grad)
+                    if contribution is None:
+                        continue
+                    contribution = _unbroadcast(
+                        np.asarray(contribution, dtype=np.float64), parent.shape
+                    )
+                    key = id(parent)
+                    if key in grads:
+                        grads[key] = grads[key] + contribution
+                    else:
+                        grads[key] = contribution
+            if node._parents:
+                # Free the closures (and their residuals) now, not when
+                # the caller drops the root; ``None`` marks the node.
+                node._parents = ()
+                node._backward_fns = None
+
+    @property
+    def _consumed(self) -> bool:
+        """Whether a backward pass already freed this node's tape."""
+        return self._backward_fns is None
 
     def _needs_grad(self) -> bool:
-        return self.requires_grad or bool(self._parents)
+        # A consumed node stays on the tape so that differentiating
+        # through it again raises instead of treating it as a constant.
+        return self.requires_grad or bool(self._parents) or self._consumed
 
     def _toposort(self) -> list["Tensor"]:
         """Reverse topological order starting at ``self``."""

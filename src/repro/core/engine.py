@@ -159,6 +159,10 @@ class IterationRecord:
     n_corners: int
     fom: float
     powers: dict[str, dict[str, float]]
+    #: Health of the step: the gradient's and the Adam update's 2-norms
+    #: (NaN in records written before these fields existed).
+    grad_norm: float = float("nan")
+    step_norm: float = float("nan")
 
     def radiation(self, direction: str) -> float:
         """``1 - sum(ports)`` for one direction at this iteration."""
@@ -760,12 +764,19 @@ class Boson1Optimizer:
         return finder
 
     def close(self) -> None:
-        """Release executor workers (no-op for the serial backend).
+        """Release executor workers and the last generation of solvers.
 
-        The executor re-creates its pool lazily, so an optimizer remains
-        usable after ``close()``.
+        The run's final LUs would otherwise stay cached in the
+        (often process-wide) workspace until the next run stores one —
+        a daemon would hold the previous job's factorizations while idle
+        and during the next job (see
+        :meth:`~repro.fdfd.workspace.SimulationWorkspace.release_solvers`).
+        The executor re-creates its pool lazily and the caches re-warm,
+        so an optimizer remains usable after ``close()``.
         """
         self.executor.shutdown()
+        if self.device.workspace is not None:
+            self.device.workspace.release_solvers()
 
     # ------------------------------------------------------------------ #
     # Main loop                                                          #
@@ -951,25 +962,37 @@ class Boson1Optimizer:
                         if theta_t.grad is not None
                         else np.zeros_like(theta)
                     )
-                    _check_finite_step(it, loss.item(), grad)
+                    loss_value = loss.item()
+                    # The tape is consumed; drop its root and leaf so no
+                    # tensor of this iteration outlives it.
+                    del loss, theta_t
+                    _check_finite_step(it, loss_value, grad)
+                    new_theta = adam.step(theta, grad)
                     record = IterationRecord(
                         iteration=it,
-                        loss=loss.item(),
+                        loss=loss_value,
                         p=self.schedule.p(it) if self.config.use_fab else 0.0,
                         n_corners=n_corners,
                         fom=self.device.fom(nominal_powers),
                         powers=nominal_powers,
+                        grad_norm=float(np.linalg.norm(grad)),
+                        step_norm=float(np.linalg.norm(new_theta - theta)),
                     )
                     history.append(record)
                     if callback is not None:
                         callback(record)
-                    theta = adam.step(theta, grad)
+                    theta = new_theta
                 final_loss = record.loss
                 it += 1
                 if session is not None:
                     session.record(
                         "iteration", it - 1,
-                        extra={"loss": record.loss, "fom": record.fom},
+                        extra={
+                            "loss": record.loss,
+                            "fom": record.fom,
+                            "grad_norm": record.grad_norm,
+                            "step_norm": record.step_norm,
+                        },
                         workspace=self.device.workspace,
                     )
                 if self.config.metrics_every and it % self.config.metrics_every == 0:

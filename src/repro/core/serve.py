@@ -516,6 +516,8 @@ class ServeDaemon(FrameServer):
                     extra={
                         "loss": float(record.loss),
                         "fom": float(record.fom),
+                        "grad_norm": record.grad_norm,
+                        "step_norm": record.step_norm,
                         "job": job.id,
                     },
                     workspace=device.workspace,

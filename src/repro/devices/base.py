@@ -18,7 +18,6 @@ objective (Eq. 2 terms).
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -30,7 +29,7 @@ from repro.fdfd.adjoint import PortInfrastructure, PortPowerProblem, PortSpec
 from repro.fdfd.grid import SimGrid
 from repro.fdfd.linalg import SOLVER_REGISTRY
 from repro.fdfd.solver import FdfdFields, HelmholtzSolver, derive_h_fields
-from repro.fdfd.workspace import SimulationWorkspace, shared_workspace
+from repro.fdfd.workspace import SimulationWorkspace, _LRUCache, shared_workspace
 from repro.params.initializers import PathSegment
 from repro.utils.constants import EPS_SI, EPS_VOID, omega_from_wavelength
 
@@ -134,7 +133,8 @@ class PhotonicDevice:
     #: full-grid incident field, and evaluation workloads mint one
     #: (direction, alpha) key per Monte-Carlo temperature draw — without
     #: a bound a long-lived device (e.g. one parked in a worker's warm
-    #: pool) would accumulate them without limit.
+    #: pool) would accumulate them without limit.  Monte-Carlo samples
+    #: also end each entry's life early (:meth:`release_calibrations`).
     _MAX_CALIBRATIONS: int = 32
 
     def __init__(
@@ -157,13 +157,7 @@ class PhotonicDevice:
             len(range(*sy.indices(grid.ny))),
         )
         self._background = None
-        self._calibration_cache: dict[tuple[str, float], tuple] = {}
-        #: Guards the calibration cache's LRU bookkeeping only — the
-        #: thread executor's corner tasks hit the same (direction,
-        #: alpha) key concurrently, and the recency touch / eviction
-        #: are mutations.  Solves happen outside the lock (a cold race
-        #: duplicates work benignly; entries are content-addressed).
-        self._calibration_lock = threading.Lock()
+        self._calibration_cache = _LRUCache(self._MAX_CALIBRATIONS)
         self._wavelength_clones: dict[float, "PhotonicDevice"] = {}
         self.configure_simulation_cache(simulation_cache, workspace)
 
@@ -196,8 +190,7 @@ class PhotonicDevice:
             self.workspace = workspace or shared_workspace()
         else:
             self.workspace = None
-        with self._calibration_lock:
-            self._calibration_cache.clear()
+        self._calibration_cache.clear()
         self._wavelength_clones.clear()
         # A reconfigured device is a different worker payload: drop the
         # warm-pool token (if one was minted) so process-pool workers
@@ -208,18 +201,17 @@ class PhotonicDevice:
     # Wavelength clones and calibration runs hold full-grid fields and
     # are cheap for workers to re-solve (content-addressed, bit-stable);
     # dropping them keeps pickled devices (process-pool workers, which
-    # re-pickle the device once per chunk) lean.  The calibration lock
-    # is not picklable and is re-created on unpickle.
+    # re-pickle the device once per chunk) lean.  The calibration cache
+    # (and its lock) is re-created empty on unpickle.
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_wavelength_clones"] = {}
-        state["_calibration_cache"] = {}
-        state.pop("_calibration_lock", None)
+        state.pop("_calibration_cache", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._calibration_lock = threading.Lock()
+        self._calibration_cache = _LRUCache(self._MAX_CALIBRATIONS)
 
     def at_wavelength(self, wavelength_um: float) -> "PhotonicDevice":
         """A memoized clone of this device at another wavelength.
@@ -241,8 +233,7 @@ class PhotonicDevice:
             clone.__dict__.update(self.__dict__)
             clone.wavelength_um = float(wavelength_um)
             clone.omega = omega_from_wavelength(wavelength_um)
-            clone._calibration_cache = {}
-            clone._calibration_lock = threading.Lock()
+            clone._calibration_cache = _LRUCache(self._MAX_CALIBRATIONS)
             clone._wavelength_clones = {}
             # The clone is a different worker payload than its base
             # device (different omega): it must mint its own warm-pool
@@ -400,22 +391,18 @@ class PhotonicDevice:
         """The cached ``((problem, p_in, incident), infra)`` for one key.
 
         Thread-safe: the LRU bookkeeping (recency touch, insertion,
-        eviction) happens under :attr:`_calibration_lock`, while the
-        calibration solve itself runs outside it — concurrent cold
-        misses on one key duplicate the solve benignly (entries are
-        content-addressed; last writer wins with identical bits), which
-        matches the pre-LRU behaviour of the threaded corner fan-out.
-        Returning the whole entry also spares callers a second cache
-        read that a concurrent eviction could invalidate.
+        eviction) happens under the cache's lock, while the calibration
+        solve itself runs outside it — concurrent cold misses on one key
+        duplicate the solve benignly (entries are content-addressed;
+        last writer wins with identical bits), which matches the pre-LRU
+        behaviour of the threaded corner fan-out.  Returning the whole
+        entry also spares callers a second cache read that a concurrent
+        eviction could invalidate.
         """
         key = (direction, round(float(alpha_bg), 9))
-        with self._calibration_lock:
-            entry = self._calibration_cache.get(key)
-            if entry is not None:
-                # Refresh recency (plain dicts preserve insertion order).
-                self._calibration_cache.pop(key)
-                self._calibration_cache[key] = entry
-                return entry
+        entry = self._calibration_cache.get(key)
+        if entry is not None:
+            return entry
         problem = self._problem(direction)
         calib_occ = np.asarray(
             self.calibration_occupancy(direction), dtype=np.float64
@@ -443,14 +430,23 @@ class PhotonicDevice:
             else None
         )
         entry = ((problem, p_in, incident), infra)
-        with self._calibration_lock:
-            self._calibration_cache[key] = entry
-            # Bounded LRU: each entry pins a full-grid incident field.
-            while len(self._calibration_cache) > self._MAX_CALIBRATIONS:
-                self._calibration_cache.pop(
-                    next(iter(self._calibration_cache))
-                )
+        self._calibration_cache.put(key, entry)
         return entry
+
+    def release_calibrations(self) -> None:
+        """Drop every cached calibration run (one Monte-Carlo sample ends).
+
+        A Monte-Carlo sample's temperature draw mints a key no other
+        sample uses, so without this a warm device would fill its cache
+        with single-use full-grid fields.  Unlike LUs, which
+        :meth:`SimulationWorkspace.retire_solvers` releases lazily so the
+        next factorization reuses their pages, calibrations are dropped
+        at once: nothing could hit them, and freeing them before the
+        sample's LUs are allocated keeps the heap from fragmenting around
+        them.  The design loop never releases: its few ``alpha_bg`` keys
+        hit every iteration.
+        """
+        self._calibration_cache.release()
 
     def calibration(
         self, direction: str, alpha_bg: float = 1.0

@@ -158,14 +158,18 @@ def _evaluate_sample(
     Each sample is one factorization reuse unit: its calibration run
     and its design solve never share a permittivity with another
     sample, so the sample starts by retiring the previous sample's
-    solvers (:meth:`~repro.fdfd.workspace.SimulationWorkspace.retire_solvers`).
-    Every fan-out path (serial, thread, process, remote) runs through
-    here, so on every path a sample's LUs are released as soon as the
-    next sample on that workspace stores its first one.
+    solvers (:meth:`~repro.fdfd.workspace.SimulationWorkspace.retire_solvers`)
+    and dropping its calibration runs
+    (:meth:`PhotonicDevice.release_calibrations`, on the device clone
+    the sample runs on).  Every fan-out path (serial, thread, process,
+    remote) runs through here, so on every path a sample's LUs are
+    released as soon as the next sample stores its first one, and its
+    calibration fields when the next sample starts.
     """
     if device.workspace is not None:
         device.workspace.retire_solvers()
     device = device.for_corner(corner)
+    device.release_calibrations()
     fabbed = process.apply_array(pattern, corner)
     alpha_bg = alpha_of_temperature(corner.temperature_k)
     powers = device.port_powers_array_all(fabbed, alpha_bg)

@@ -49,7 +49,15 @@ sharing a permittivity); nothing reads an LU from an earlier unit.
 closes a generation: its solvers still hit until the next solver is
 stored, and that store releases them all.  So a worker holds the LUs of
 the unit it is working on, not ``max_factorizations`` of them.  Krylov
-anchors keep their own lifetime (until the next epoch).
+anchors keep their own lifetime (until the next epoch).  The autodiff
+tape does not extend any of this: ``Tensor.backward()`` drops each
+adjoint closure, and the solver it holds, once it has run.  The last
+generation ends with the run —
+:meth:`SimulationWorkspace.release_solvers` (called by
+``Boson1Optimizer.close()``) frees it, so an idle daemon or the next
+job does not carry the previous job's LUs.  ``stats()["factorizations"]``
+reports ``live`` and ``live_peak``: how many solvers this workspace
+stored are still referenced, now and at most.
 
 Every cache is content-addressed, so a warm workspace returns the same
 bits as a cold build for the direct backends — tests assert bit-for-bit
@@ -60,6 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -260,13 +269,22 @@ class _LRUCache:
             self._retired.update(self._store)
             self._store.clear()
 
-    def __len__(self) -> int:
-        return len(self._store) + len(self._retired)
-
-    def clear(self) -> None:
+    def release(self) -> None:
+        """Drop both generations; the hit/miss counters carry on."""
         with self._lock:
             self._store.clear()
             self._retired.clear()
+
+    def __len__(self) -> int:
+        return len(self._store) + len(self._retired)
+
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._store or key in self._retired
+
+    def clear(self) -> None:
+        self.release()
+        with self._lock:
             self.hits = 0
             self.misses = 0
 
@@ -341,6 +359,11 @@ class SimulationWorkspace:
         # limit.
         self._anchors: OrderedDict = OrderedDict()
         self._anchor_lock = threading.Lock()
+        # Every solver this workspace stored, for as long as anything
+        # (the cache, an autodiff tape, a caller) still references it.
+        self._live_solvers: weakref.WeakSet = weakref.WeakSet()
+        self._live_peak = 0
+        self._live_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def assembly(
@@ -412,8 +435,14 @@ class SimulationWorkspace:
             solver = self._preconditioned_solver(
                 assembly, matrix, eps, eps_hash, backend
             )
-        self._factorizations.put(key, solver)
+        self._store_solver(key, solver)
         return solver
+
+    def _store_solver(self, key, solver: LinearSolver) -> None:
+        self._factorizations.put(key, solver)
+        with self._live_lock:
+            self._live_solvers.add(solver)
+            self._live_peak = max(self._live_peak, len(self._live_solvers))
 
     def _anchor_pool(self, akey) -> OrderedDict:
         """The (touched) anchor pool for one operator set.
@@ -561,7 +590,7 @@ class SimulationWorkspace:
                     matrix = assembly.system_matrix(eps_arrs[0])
                     lu = self.factor_options.splu(matrix)
                     self.solver_stats.add(factorizations=1)
-                    self._factorizations.put(
+                    self._store_solver(
                         fkey, DirectSolver(matrix, lu, self.solver_stats)
                     )
                 anchors[hashes[0]] = _PrecondAnchor(nominal_flat.copy(), lu)
@@ -589,7 +618,7 @@ class SimulationWorkspace:
             # Mirror the scalar path: the fallback solver joins the
             # factorization LRU so re-solving this permittivity within
             # the epoch is a cache hit, not a refactorization.
-            self._factorizations.put((*akey, hashes[system]), direct)
+            self._store_solver((*akey, hashes[system]), direct)
 
         return backend_cls.corner_block(
             assembly,
@@ -656,6 +685,22 @@ class SimulationWorkspace:
         """
         self._factorizations.retire()
 
+    def release_solvers(self) -> None:
+        """End the last generation: drop every cached solver and anchor.
+
+        Called when a run ends (``Boson1Optimizer.close()``), so a
+        long-lived workspace — the process-wide one a ``repro serve``
+        daemon shares across jobs — holds no LUs between runs.  Hit/miss
+        and solver counters are kept.  With jobs running concurrently on
+        one workspace, one job's release can only cost another job cache
+        hits, never its bits: refactorizing the same matrix is
+        deterministic.  (Krylov anchors are already shared that way —
+        every job's ``begin_solver_epoch`` drops them for all.)
+        """
+        self._factorizations.release()
+        with self._anchor_lock:
+            self._anchors.clear()
+
     def begin_solver_epoch(self) -> None:
         """Start an optimizer iteration: retire solvers, drop anchors.
 
@@ -709,8 +754,13 @@ class SimulationWorkspace:
 
         Each cache reports raw ``hits``/``misses``/``size`` plus
         ``hit_rate_pct`` (0.0 when the cache was never consulted); the
-        ``solver`` entry aggregates backend work (factorizations, RHS
-        columns, Krylov iterations, fallbacks).
+        ``factorizations`` entry also counts the solvers this workspace
+        stored that are still referenced anywhere (the cache, an autodiff
+        tape, a caller): ``live`` now, ``live_peak`` at most since
+        construction or :meth:`clear`.  They describe this process, so
+        they stay out of the ``solver`` entry, which aggregates backend
+        work (factorizations, RHS columns, Krylov iterations, fallbacks)
+        and sums across a fleet's workers.
         """
         report: dict[str, dict] = {}
         for name, cache in (
@@ -725,6 +775,9 @@ class SimulationWorkspace:
                 "size": len(cache),
                 "hit_rate_pct": round(100.0 * cache.hits / total, 1) if total else 0.0,
             }
+        with self._live_lock:
+            report["factorizations"]["live"] = len(self._live_solvers)
+            report["factorizations"]["live_peak"] = self._live_peak
         report["solver"] = {
             "backend": self.solver_config.backend,
             **self.solver_stats.as_dict(),
@@ -738,6 +791,8 @@ class SimulationWorkspace:
         self.solver_stats.reset()
         with self._anchor_lock:
             self._anchors.clear()
+        with self._live_lock:
+            self._live_peak = len(self._live_solvers)
 
     # Pickling support: ship an empty workspace (LU objects cannot be
     # pickled; worker processes re-warm their own caches).

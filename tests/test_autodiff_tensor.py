@@ -1,10 +1,13 @@
 """Unit tests for the autodiff tape: Tensor mechanics and arithmetic ops."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, tensor, no_grad, is_grad_enabled
 from repro.autodiff import functional as F
+from repro.autodiff.ops import custom_vjp_with_residuals
 
 from tests.helpers import check_grad
 
@@ -186,3 +189,55 @@ class TestComparisons:
     def test_comparison_with_tensor(self):
         mask = tensor([1.0, 3.0]) <= tensor([2.0, 2.0])
         np.testing.assert_array_equal(mask, [True, False])
+
+
+class TestConsumedTape:
+    """``backward()`` frees the tape it walks; reusing it raises."""
+
+    def test_second_backward_through_shared_node_raises(self):
+        a = tensor([1.0, 2.0], requires_grad=True)
+        shared = a * 3.0
+        first = (shared * 2.0).sum()
+        second = (shared + 1.0).sum()
+        first.backward()
+        np.testing.assert_allclose(a.grad, [6.0, 6.0])
+        with pytest.raises(RuntimeError, match="consumed"):
+            second.backward()
+        np.testing.assert_allclose(a.grad, [6.0, 6.0])
+
+    def test_repeated_backward_on_root_raises(self):
+        a = tensor([1.0], requires_grad=True)
+        loss = (a * 2.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        np.testing.assert_allclose(a.grad, [2.0])
+
+    def test_residuals_die_with_the_backward_pass(self):
+        class Residual:  # stands in for an LU solver and its fields
+            pass
+
+        refs = []
+
+        def forward(x):
+            residual = Residual()
+            refs.append(weakref.ref(residual))
+            return 2.0 * x, residual
+
+        op = custom_vjp_with_residuals(
+            forward, lambda g, out, residual, x: (2.0 * g,), name="double"
+        )
+        a = tensor([1.0, 2.0], requires_grad=True)
+        loss = op(a).sum()
+        assert refs[0]() is not None
+        loss.backward()
+        assert refs[0]() is None
+        np.testing.assert_allclose(a.grad, [2.0, 2.0])
+
+    def test_fresh_graph_on_same_leaf_still_differentiates(self):
+        a = tensor([1.0, 2.0], requires_grad=True)
+        (a * a).sum().backward()
+        np.testing.assert_allclose(a.grad, [2.0, 4.0])
+        a.zero_grad()
+        (a * 3.0).sum().backward()
+        np.testing.assert_allclose(a.grad, [3.0, 3.0])

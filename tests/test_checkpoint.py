@@ -42,6 +42,7 @@ import pytest
 import repro.core.remote as remote_mod
 from repro.autodiff import sqrt as ad_sqrt
 from repro.core import Boson1Optimizer, NonFiniteStepError, OptimizerConfig
+from repro.core.engine import IterationRecord
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointCorruptError,
@@ -192,6 +193,18 @@ class TestCheckpointFormat:
         assert back.adam_state == ckpt.adam_state
         assert back.rng_state == ckpt.rng_state
         assert back.version == CHECKPOINT_VERSION
+
+    def test_history_without_health_fields_still_loads(self):
+        # A record pickled before grad_norm/step_norm existed carries
+        # neither attribute; it must unpickle with the NaN defaults.
+        record = IterationRecord(
+            iteration=0, loss=1.0, p=0.0, n_corners=0, fom=0.5, powers={}
+        )
+        del record.__dict__["grad_norm"], record.__dict__["step_norm"]
+        ckpt = _tiny_ckpt(history=[record])
+        (back,) = DesignCheckpoint.from_bytes(ckpt.to_bytes()).history
+        assert back.loss == 1.0
+        assert np.isnan(back.grad_norm) and np.isnan(back.step_norm)
 
     def test_truncated_header_refused(self):
         with pytest.raises(CheckpointCorruptError, match="truncated"):
@@ -810,7 +823,12 @@ class TestFleetLossDegradation:
 # --------------------------------------------------------------------- #
 # Worker graceful drain (satellite 2)                                   #
 # --------------------------------------------------------------------- #
+#: Set by :func:`_slow_identity` once the worker is executing it.
+_SLOW_TASK_STARTED = threading.Event()
+
+
 def _slow_identity(x):
+    _SLOW_TASK_STARTED.set()
     time.sleep(0.6)
     return x
 
@@ -834,10 +852,12 @@ class TestWorkerGracefulDrain:
                 sock, {"kind": "seed", "key": seed_key(payload), "payload": payload}
             )
             assert recv_frame(sock)["kind"] == "seeded"
+            _SLOW_TASK_STARTED.clear()
             send_frame(
                 sock, {"kind": "task", "key": seed_key(payload), "item": 42}
             )
-            time.sleep(0.15)  # the 0.6 s task is now executing
+            # Request the drain only once the 0.6 s task is executing.
+            assert _SLOW_TASK_STARTED.wait(timeout=10.0)
             server.request_graceful_shutdown()
             while True:
                 reply = recv_frame(sock)

@@ -6,6 +6,8 @@ gradients as the cold rebuild-everything path.  Anything weaker would
 silently change optimization trajectories.
 """
 
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from repro.autodiff import Tensor
 from repro.core import Boson1Optimizer, OptimizerConfig
 from repro.devices import make_device
+from repro.devices.base import PhotonicDevice
 from repro.eval import evaluate_post_fab
 from repro.fab.process import FabricationProcess
 from repro.fdfd import (
@@ -228,10 +231,10 @@ class TestDeviceCache:
         device = make_device("bending")
         device.configure_simulation_cache(True, ws)
         device.port_powers_array(bend_pattern, "fwd")
-        _, infra = device._calibration_cache[("fwd", 1.0)]
+        _, infra = device._calibration_cache.get(("fwd", 1.0))
         assert infra is not None
         device.port_powers_array(bend_pattern, "fwd")
-        assert device._calibration_cache[("fwd", 1.0)][1] is infra
+        assert device._calibration_cache.get(("fwd", 1.0))[1] is infra
 
 
 class TestSharedWorkspace:
@@ -330,6 +333,89 @@ class TestSolverGenerations:
         stats = ws.stats()
         assert stats["factorizations"]["size"] <= 2
         assert stats["solver"]["factorizations"] == 2 * n
+
+    def test_live_peak_never_trails_live_under_concurrent_stores(self):
+        # Thread-executor corners store solvers concurrently; a lost
+        # update of the peak would let a reader see it below the live
+        # count.  Cheap stand-in solvers keep the stores contended.
+        class Solver:
+            pass
+
+        ws = SimulationWorkspace(max_factorizations=4)
+        held, violations = [], []
+
+        def store(worker):
+            for k in range(200):
+                solver = Solver()
+                held.append(solver)
+                ws._store_solver((worker, k), solver)
+                stats = ws.stats()["factorizations"]
+                if stats["live_peak"] < stats["live"]:
+                    violations.append(stats)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=store, args=(w,)) for w in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert violations == []
+        stats = ws.stats()["factorizations"]
+        assert stats["live"] == stats["live_peak"] == len(held) == 1600
+
+    def test_monte_carlo_calibrations_live_one_sample(self, monkeypatch):
+        def evaluate(device):
+            device.configure_simulation_cache(True, SimulationWorkspace())
+            process = FabricationProcess(
+                device.design_shape,
+                device.dl,
+                context=device.litho_context(12),
+                pad=12,
+            )
+            pattern = rasterize_segments(
+                device.design_shape, device.dl, device.init_segments()
+            )
+            return evaluate_post_fab(device, process, pattern, n_samples=4, seed=0)
+
+        device = make_device("bending")
+        mean_fom = evaluate(device).mean_fom
+        # Each sample's temperature draw is its own calibration key;
+        # only the last sample's (one per direction) is still cached.
+        assert len(device._calibration_cache) <= len(device.directions)
+        monkeypatch.setattr(
+            PhotonicDevice, "release_calibrations", lambda self: None
+        )
+        kept = make_device("bending")
+        assert evaluate(kept).mean_fom == mean_fom
+        assert len(kept._calibration_cache) > len(kept.directions)
+
+    def test_design_run_holds_one_generation_and_close_ends_it(self):
+        # backward() frees each corner's solver from the tape and the
+        # loop keeps no tensor across iterations, so only the cached
+        # generation (plus the first LU of the next iteration, which
+        # releases it) is alive; a tape kept until the next iteration's
+        # loss returned held 17.  close() frees the last generation.
+        device = make_device("bending")
+        ws = SimulationWorkspace()
+        device.configure_simulation_cache(True, ws)
+        optimizer = Boson1Optimizer(
+            device, OptimizerConfig(iterations=4, seed=1, solver="direct")
+        )
+        optimizer.run()
+        stats = ws.stats()["factorizations"]
+        assert stats["live_peak"] <= 9
+        assert stats["live"] > 0
+        optimizer.close()
+        stats = ws.stats()["factorizations"]
+        assert (stats["live"], stats["size"]) == (0, 0)
+        assert stats["misses"] > 0  # counters survive the release
 
     def test_design_run_keeps_within_iteration_reuse(self):
         # Every hit of a design loop falls inside one iteration (a corner

@@ -461,6 +461,20 @@ def _traced_design(tmp_path, executor, **config_kwargs):
     return result, tmp_path / "tr"
 
 
+class TestSerialTrace:
+    def test_iteration_records_carry_step_health(self, tmp_path):
+        result, trace_dir = _traced_design(tmp_path, "serial")
+        entries = [
+            json.loads(line)
+            for line in (trace_dir / "trace.jsonl").read_text().splitlines()
+        ]
+        iterations = [e for e in entries if e["type"] == "iteration"]
+        assert len(iterations) == len(result.history) == 2
+        for entry, rec in zip(iterations, result.history):
+            assert entry["grad_norm"] == rec.grad_norm > 0
+            assert entry["step_norm"] == rec.step_norm > 0
+
+
 class TestProcessPropagation:
     def test_design_trace_is_one_connected_tree(self, tmp_path):
         import os

@@ -577,7 +577,7 @@ class TestProcessTapedFanout:
         exists to prevent.
         """
         device = make_device("bending")
-        device._MAX_CALIBRATIONS = 2
+        device._calibration_cache.maxsize = 2
         device.calibration("fwd", 1.0)
         errors = []
 
@@ -611,17 +611,18 @@ class TestProcessTapedFanout:
         per-chunk payloads stay lean.
         """
         device = make_device("bending")
-        device._MAX_CALIBRATIONS = 3  # instance override to keep it fast
+        device._calibration_cache.maxsize = 3  # keep it fast
         for i in range(5):
             device.calibration("fwd", 1.0 - 1e-4 * i)
         assert len(device._calibration_cache) == 3
         # Recency refresh: touching the oldest survivor keeps it alive.
-        survivor = next(iter(device._calibration_cache))
+        survivor = ("fwd", round(1.0 - 2e-4, 9))
+        assert survivor in device._calibration_cache
         device.calibration(survivor[0], survivor[1])
         device.calibration("fwd", 0.5)
         assert survivor in device._calibration_cache
         clone = pickle.loads(pickle.dumps(device))
-        assert clone._calibration_cache == {}
+        assert len(clone._calibration_cache) == 0
 
     def test_stable_worker_token_is_sticky_and_unique(self):
         a, b = make_device("bending"), make_device("bending")

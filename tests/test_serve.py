@@ -124,6 +124,17 @@ class TestLifecycle:
         )
         assert payload["final_loss"] == reference.final_loss
 
+    def test_progress_carries_step_health(self, daemon, reference):
+        with _client(daemon) as client:
+            job = client.submit("bending", dict(CFG))
+            assert client.watch(job["id"])["status"] == "completed"
+        path = daemon.store.progress_path(job["id"])
+        entries = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["iteration"] for e in entries] == [0, 1, 2, 3]
+        for entry, rec in zip(entries, reference.history):
+            assert entry["grad_norm"] == rec.grad_norm > 0
+            assert entry["step_norm"] == rec.step_norm > 0
+
     def test_result_is_written_before_status_turns_completed(
         self, daemon, monkeypatch
     ):
