@@ -10,14 +10,10 @@ backend against the seed-equivalent cold pipeline and writes
   ``Boson1Optimizer`` on the bending device with fabrication corners on
   (the paper's dominant cost), seed-equivalent vs. each backend
   (``direct`` = the PR 1 warm path, ``batched``, ``krylov`` with the
-  nominal-corner LU recycled across corners, ``krylov-block`` with the
-  whole corner family solved through shared matrix-RHS block sweeps),
-  with per-run workspace cache hit rates and convergence statistics.
-* ``block``      — the headline PR 3 evidence: blocked sweeps per
-  corner block vs. the scalar path's per-column sweeps, factorizations
-  per run, and the per-iteration speedup over scalar krylov.
+  nominal-corner LU recycled across corners), with per-run workspace
+  cache hit rates and convergence statistics.
 * ``montecarlo`` — ``evaluate_post_fab`` wall time, seed-equivalent
-  vs. cached vs. blocked.
+  vs. cached.
 * ``process``    — the PR 4 evidence: the taped corner fan-out through
   ``--executor process:2`` (workers replay only forward solves, the
   parent assembles VJPs from worker-returned adjoint bases) vs. the
@@ -46,13 +42,6 @@ backend against the seed-equivalent cold pipeline and writes
   per-iteration cost is gated at <= 1%.  The traced trajectory must
   match the untraced one bit for bit — the observer must not perturb
   the physics.
-* ``scenario``   — the PR 8 evidence: a 4-wavelength x 2-temperature x
-  axial-corner scenario family on bending under ``--aggregate worst``,
-  scalar ``krylov`` vs. ``krylov-block`` in the same session.  Gated on
-  omega-group amortization: exactly one blocked forward + adjoint solve
-  per wavelength group per iteration (the temperature axis must not add
-  solves), fewer total block sweeps than scalar per-column iterations,
-  and trajectory agreement to solver precision.
 * ``serve``      — the PR 10 evidence: the same design run submitted
   through an in-process ``repro serve`` daemon (framed submit + coarse
   status polls + per-iteration progress appends + job-state
@@ -63,14 +52,12 @@ backend against the seed-equivalent cold pipeline and writes
   direct run bit for bit.
 
 The backends are also cross-checked: ``batched`` must reproduce the
-direct FoM trajectory bit for bit, ``krylov`` and ``krylov-block`` to
-solver precision.  Finally the numbers are compared against
-``BENCH_PR9.json`` (if present): a slower warm-direct, scalar-krylov
-or krylov-block path, a block path that loses to scalar krylov or that
-stops amortizing sweeps, a process/remote fan-out with runaway
-overhead, checkpointing, tracing or daemon scheduling that taxes the
-loop beyond its gate is reported as a REGRESSION and the run exits
-non-zero.
+direct FoM trajectory bit for bit, ``krylov`` to solver precision.
+Finally the numbers are compared against ``BENCH_PR9.json`` (if
+present): a slower warm-direct or krylov path, a process/remote fan-out
+with runaway overhead, checkpointing, tracing or daemon scheduling that
+taxes the loop beyond its gate is reported as a REGRESSION and the run
+exits non-zero.
 
 Usage::
 
@@ -116,7 +103,7 @@ from repro.fdfd.workspace import (  # noqa: E402
 from repro.utils.constants import omega_from_wavelength  # noqa: E402
 from repro.utils.io import atomic_write_json  # noqa: E402
 
-BACKENDS = ("direct", "batched", "krylov", "krylov-block")
+BACKENDS = ("direct", "batched", "krylov")
 
 
 def _time_repeat(fn, repeats: int) -> float:
@@ -244,17 +231,11 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
 
     # Same physics across the board: seed vs. cached to factorization
     # roundoff, batched == direct bit for bit (single-direction device),
-    # krylov and krylov-block to solver precision.
+    # krylov to solver precision.
     assert np.allclose(r_seed.fom_trace(), r_direct.fom_trace(), atol=1e-6)
     assert np.array_equal(runs["batched"][1].fom_trace(), r_direct.fom_trace())
     assert np.allclose(
         runs["krylov"][1].fom_trace(), r_direct.fom_trace(), rtol=1e-5, atol=1e-7
-    )
-    assert np.allclose(
-        runs["krylov-block"][1].fom_trace(),
-        r_direct.fom_trace(),
-        rtol=1e-5,
-        atol=1e-7,
     )
 
     backends = {}
@@ -267,17 +248,13 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
         }
         solver_stats = stats["solver"]
         entry["factorizations"] = solver_stats["factorizations"]
-        if backend in ("krylov", "krylov-block"):
+        if backend == "krylov":
             entry["krylov_solves"] = solver_stats["krylov_solves"]
             entry["mean_krylov_iterations"] = round(
                 solver_stats["iterations"] / max(1, solver_stats["krylov_solves"]),
                 2,
             )
             entry["fallbacks"] = solver_stats["fallbacks"]
-        if backend == "krylov-block":
-            entry["block_solves"] = solver_stats["block_solves"]
-            entry["block_sweeps"] = solver_stats["block_sweeps"]
-            entry["block_columns"] = solver_stats["block_columns"]
         if backend == "batched":
             entry["batched_calls"] = solver_stats["batched_calls"]
         backends[backend] = entry
@@ -289,43 +266,8 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
         "seed_equivalent_s_per_iter": t_seed / iterations,
         "backends": backends,
         "krylov_speedup_vs_direct": t_direct / runs["krylov"][0],
-        "block_speedup_vs_krylov": runs["krylov"][0] / runs["krylov-block"][0],
     }
     return report, r_direct.pattern
-
-
-def block_evidence(iteration: dict) -> dict:
-    """The PR 3 headline numbers: blocked sweeps vs. scalar sweeps.
-
-    The scalar ``krylov`` path pays one preconditioner application pair
-    per column iteration; the block path pays one *matrix-RHS* pair per
-    blocked sweep covering the whole active corner family.  Fewer block
-    sweeps per iteration than scalar per-column iterations is the
-    amortization the ROADMAP item asked for.
-    """
-    iters = iteration["iterations"]
-    scalar = iteration["backends"]["krylov"]
-    block = iteration["backends"]["krylov-block"]
-    block_sweeps_per_iter = block["block_sweeps"] / iters
-    scalar_sweeps_per_iter = (
-        scalar["krylov_solves"] * scalar["mean_krylov_iterations"] / iters
-    )
-    return {
-        "s_per_iter": block["s_per_iter"],
-        "speedup_vs_scalar_krylov": iteration["block_speedup_vs_krylov"],
-        "speedup_vs_direct": block["speedup_vs_direct"],
-        "block_solves_per_iter": block["block_solves"] / iters,
-        "sweeps_per_corner_block": round(
-            block["block_sweeps"] / max(1, block["block_solves"]), 2
-        ),
-        "block_sweeps_per_iter": round(block_sweeps_per_iter, 2),
-        "scalar_sweeps_per_iter": round(scalar_sweeps_per_iter, 2),
-        "sweep_amortization": round(
-            scalar_sweeps_per_iter / max(1e-9, block_sweeps_per_iter), 2
-        ),
-        "factorizations_per_run": block["factorizations"],
-        "fallbacks": block["fallbacks"],
-    }
 
 
 def bench_process(iterations: int, rounds: int = 2) -> tuple[dict, list[str]]:
@@ -872,114 +814,15 @@ def bench_montecarlo(pattern: np.ndarray, n_samples: int) -> dict:
     )
     t_warm = time.perf_counter() - t0
     assert np.allclose(r_seed.foms, r_warm.foms, atol=1e-6)
-
-    # Blocked evaluation: every sample's forward system joins one
-    # blocked solve (first sample anchors, stragglers fall back).
-    device.configure_simulation_cache(
-        True, SimulationWorkspace(solver_config="krylov-block")
-    )
-    t0 = time.perf_counter()
-    r_block = evaluate_post_fab(
-        device, process, pattern, n_samples=n_samples, seed=1234
-    )
-    t_block = time.perf_counter() - t0
-    assert np.allclose(r_seed.foms, r_block.foms, rtol=1e-4, atol=1e-6)
     return {
         "n_samples": n_samples,
         "seed_equivalent_s": t_seed,
         "cached_s": t_warm,
-        "blocked_s": t_block,
         "speedup": t_seed / t_warm,
-        "blocked_speedup": t_seed / t_block,
     }
 
 
-def bench_scenario(iterations: int, rounds: int = 2) -> tuple[dict, list[str]]:
-    """The PR 8 evidence: a broadband x thermal scenario family rides
-    omega-grouped blocked solves.
-
-    Bending under a 4-wavelength x 2-temperature x axial-corner family
-    (``--aggregate worst``), scalar ``krylov`` vs. ``krylov-block`` in
-    the same session.  Machine-independent gates:
-
-    * each omega group must ride exactly one blocked forward + one
-      blocked adjoint solve per iteration (the temperature axis shares
-      its wavelength's Laplacian and must not add solves);
-    * the blocked path's matrix-RHS sweeps must amortize — fewer total
-      block sweeps than the scalar path's per-column iterations;
-    * both trajectories must agree to solver precision.
-
-    The wall-clock speedup is recorded but not gated across machines.
-    """
-    lams = (1.50, 1.53, 1.57, 1.60)
-    temps = (290.0, 310.0)
-
-    def config(backend):
-        return OptimizerConfig(
-            iterations=iterations,
-            seed=0,
-            sampling="axial",
-            relax_epochs=0,
-            wavelengths_um=lams,
-            temperatures_k=temps,
-            aggregate="worst",
-            solver=backend,
-        )
-
-    runs: dict = {}
-    for backend in ("krylov", "krylov-block"):
-        best = float("inf")
-        for _ in range(rounds):
-            elapsed, result, stats = _timed_run(config(backend), iterations)
-            if elapsed < best:
-                best = elapsed
-                runs[backend] = (elapsed, result, stats["solver"])
-
-    t_scalar, r_scalar, s_scalar = runs["krylov"]
-    t_block, r_block, s_block = runs["krylov-block"]
-    n_scenarios = r_block.history[0].n_corners
-    expected_block_solves = len(lams) * 2 * iterations
-
-    failures: list[str] = []
-    if s_block["block_solves"] != expected_block_solves:
-        failures.append(
-            "scenario: omega grouping broke — "
-            f"{s_block['block_solves']} block solves, expected "
-            f"{expected_block_solves} ({len(lams)} groups x fwd+adjoint "
-            f"x {iterations} iterations)"
-        )
-    if s_block["block_sweeps"] >= s_scalar["iterations"]:
-        failures.append(
-            "scenario: block sweeps stopped amortizing — "
-            f"{s_block['block_sweeps']} blocked sweeps vs. "
-            f"{s_scalar['iterations']} scalar per-column iterations"
-        )
-    if not np.allclose(
-        r_block.fom_trace(), r_scalar.fom_trace(), rtol=1e-4, atol=1e-8
-    ):
-        failures.append(
-            "scenario: blocked trajectory diverged from scalar krylov"
-        )
-
-    return {
-        "n_scenarios": n_scenarios,
-        "n_omega_groups": len(lams),
-        "aggregate": "worst",
-        "scalar_s_per_iter": t_scalar / iterations,
-        "block_s_per_iter": t_block / iterations,
-        "speedup_vs_scalar_krylov": t_scalar / t_block,
-        "block_solves_per_iter": s_block["block_solves"] / iterations,
-        "block_sweeps": s_block["block_sweeps"],
-        "scalar_krylov_iterations": s_scalar["iterations"],
-        "sweep_amortization": round(
-            s_scalar["iterations"] / max(1, s_block["block_sweeps"]), 2
-        ),
-    }, failures
-
-
-def compare_with_baseline(
-    iteration: dict, block: dict, baseline_path: Path
-) -> list[str]:
+def compare_with_baseline(iteration: dict, baseline_path: Path) -> list[str]:
     """Regression gates against the PR 2 numbers.  Returns failures.
 
     Every gate carries noise head-room: wall-clock jitter on a shared
@@ -991,24 +834,12 @@ def compare_with_baseline(
     failures: list[str] = []
     direct = iteration["backends"]["direct"]["s_per_iter"]
     krylov = iteration["backends"]["krylov"]["s_per_iter"]
-    blocked = iteration["backends"]["krylov-block"]["s_per_iter"]
     # Same-run comparisons are jitter-resistant (both runs see the same
     # ambient load); 5% head-room covers scheduling noise.
     if krylov >= 1.05 * direct:
         failures.append(
             f"krylov ({krylov:.4f} s/iter) regressed against the same-run "
             f"warm direct path ({direct:.4f} s/iter, 5% head-room)"
-        )
-    if blocked >= 1.05 * krylov:
-        failures.append(
-            f"krylov-block ({blocked:.4f} s/iter) loses to the same-run "
-            f"scalar krylov path ({krylov:.4f} s/iter, 5% head-room)"
-        )
-    if block["block_sweeps_per_iter"] >= block["scalar_sweeps_per_iter"]:
-        failures.append(
-            f"block path stopped amortizing sweeps: "
-            f"{block['block_sweeps_per_iter']} blocked sweeps/iter vs. "
-            f"{block['scalar_sweeps_per_iter']} scalar sweeps/iter"
         )
     if not baseline_path.exists():
         print(
@@ -1031,13 +862,6 @@ def compare_with_baseline(
             f"scalar krylov regressed: {krylov:.4f} s/iter vs. "
             f"baseline's {base_krylov:.4f} s/iter (25% head-room)"
         )
-    base_block = base_backends.get("krylov-block")
-    if base_block is not None and blocked > 1.25 * base_block["s_per_iter"]:
-        failures.append(
-            f"krylov-block regressed: {blocked:.4f} s/iter vs. "
-            f"baseline's {base_block['s_per_iter']:.4f} s/iter "
-            "(25% head-room)"
-        )
     return failures
 
 
@@ -1057,17 +881,11 @@ def _print_iteration_report(iteration: dict) -> None:
             for name in ("assemblies", "factorizations", "modes")
         )
         print(f"            cache hit rates: {rates}")
-        if backend in ("krylov", "krylov-block"):
+        if backend == "krylov":
             print(
                 f"            krylov: {entry['krylov_solves']} solves, "
                 f"{entry['mean_krylov_iterations']} sweeps/solve, "
                 f"{entry['fallbacks']} fallbacks"
-            )
-        if backend == "krylov-block":
-            print(
-                f"            block: {entry['block_solves']} block solves, "
-                f"{entry['block_sweeps']} blocked sweeps over "
-                f"{entry['block_columns']} columns"
             )
 
 
@@ -1098,11 +916,6 @@ def main(argv: list[str] | None = None) -> int:
     print("== optimizer iteration per backend (bending, fab corners on) ==")
     iteration, pattern = bench_iteration(args.iterations)
     _print_iteration_report(iteration)
-
-    print("== block-corner evidence ==")
-    block = block_evidence(iteration)
-    for key, value in block.items():
-        print(f"  {key}: {round(value, 4)}")
 
     print("== Monte-Carlo evaluation ==")
     montecarlo = bench_montecarlo(pattern, args.mc_samples)
@@ -1149,21 +962,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{round(value, 4) if isinstance(value, float) else value}"
         )
 
-    print("== scenario family (4 wavelengths x 2 temperatures x axial) ==")
-    scenario, scenario_failures = bench_scenario(args.iterations)
-    for key, value in scenario.items():
-        print(
-            f"  {key}: "
-            f"{round(value, 4) if isinstance(value, float) else value}"
-        )
-
-    failures = compare_with_baseline(iteration, block, Path(args.baseline))
+    failures = compare_with_baseline(iteration, Path(args.baseline))
     failures.extend(process_failures)
     failures.extend(remote_failures)
     failures.extend(checkpoint_failures)
     failures.extend(serve_failures)
     failures.extend(tracing_failures)
-    failures.extend(scenario_failures)
 
     payload = {
         "benchmark": (
@@ -1178,14 +982,12 @@ def main(argv: list[str] | None = None) -> int:
         },
         "solver": solver,
         "iteration": iteration,
-        "block": block,
         "montecarlo": montecarlo,
         "process": process,
         "remote": remote,
         "checkpoint": checkpoint,
         "serve": serve,
         "tracing": tracing,
-        "scenario": scenario,
         "regressions": failures,
     }
     out_path = Path(args.output)

@@ -6,6 +6,11 @@ Commands
 ``evaluate``  — Monte-Carlo post-fab evaluation of a saved design.
 ``baseline``  — run one named prior-art method end-to-end.
 ``worker``    — serve this host's cores to remote corner fan-outs.
+``serve``     — run the design-job daemon (jobs queued on disk).
+``submit``    — submit a design job to a running daemon.
+``status``    — show one job's state, or list every job.
+``watch``     — stream a job's progress until it finishes.
+``cancel``    — cancel a queued or running job.
 ``trace``     — inspect trace files written by ``--trace-dir`` runs.
 ``info``      — print device/benchmark inventory.
 
@@ -27,8 +32,8 @@ from repro.core.remote import DEFAULT_CONNECT_RETRIES, DEFAULT_REMOTE_TIMEOUT
 from repro.core.sampling import SAMPLING_STRATEGIES
 from repro.devices import DEVICE_REGISTRY, make_device
 from repro.eval import evaluate_ideal, evaluate_post_fab
-from repro.eval.montecarlo import DEFAULT_BLOCK_CHUNK
 from repro.fab.process import FabricationProcess
+from repro.fdfd.linalg import SolverConfig
 from repro.utils.io import load_result, save_result
 from repro.utils.logsetup import LOG_LEVELS, configure_logging
 from repro.utils.render import ascii_pattern
@@ -63,17 +68,15 @@ solvers (every FDFD solve):
                batch forward and adjoint systems (bitwise on
                single-direction devices).
   krylov       nominal-corner LU recycled across an iteration's corners
-               via preconditioned BiCGStab/GMRES; fastest per corner,
-               accurate to the solver tolerance.
-  krylov-block krylov + one *blocked* solve for the whole corner family
-               (serial executor only; other executors fall back to
-               scalar krylov per corner).  Fastest overall on 1 core.
+               via preconditioned BiCGStab/GMRES; accurate to the
+               solver tolerance.
 determinism contract: direct/batched are bitwise stable across
-executors; krylov variants agree with them to the solver tolerance —
+executors; krylov agrees with them to the solver tolerance —
 trajectories match to ~1e-8, not bit-for-bit.
-rule of thumb: start with `--solver krylov-block`; add
-`--executor process:n` on multi-core machines or `--executor thread:n`
-for a shared-memory fan-out; use `--solver direct` when chasing bits.
+rule of thumb: `--solver direct` at the default grid (dl=0.05), where
+one LU per corner is cheapest; `--solver krylov` on finer grids
+(dl<=0.025), where recycling the nominal LU beats refactorizing every
+corner.  add `--executor process:n` on multi-core machines.
 
 robust scenario families (broadband x thermal x fab)
 ----------------------------------------------------
@@ -82,11 +85,9 @@ axes: `repro design bending --wavelengths 1.53,1.55,1.57
 each operating wavelength and temperature (comma-separated floats;
 temperatures compose with a corner's own thermal excursion as offsets
 around the 300 K nominal).  scenarios are grouped by omega: each group
-shares its Laplacian, and under `--solver krylov-block` each group
-rides one blocked forward solve plus one blocked adjoint solve per
-iteration; the process/remote fan-out ships one device clone per omega
-group, its digest sent once per epoch per worker, exactly like the
-single-device case.
+shares its Laplacian, and the process/remote fan-out ships one device
+clone per omega group, its digest sent once per epoch per worker,
+exactly like the single-device case.
 aggregation: `--aggregate mean` (weighted expectation, the default) |
 `worst` (tempered soft-max over the family — a differentiable worst
 case whose gradient is FD-exact) | `cvar:ALPHA` (expected loss of the
@@ -170,7 +171,7 @@ observing a run
 ---------------
 tracing: `repro design ... --trace-dir DIR` (also on `evaluate`) spans
 every hot layer — engine iterations, loss, dispatch, factorizations,
-krylov/blocked sweeps, remote frames, checkpoint writes — at
+krylov sweeps, remote frames, checkpoint writes — at
 near-zero overhead (a disabled span is one thread-local read).  DIR
 receives trace.jsonl (one record per iteration: spans + a metrics
 snapshot folding solver counters and cache hit rates) and summary.txt
@@ -297,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
             "operating-wavelength axis of the scenario family "
             "(comma-separated um, e.g. 1.53,1.55,1.57); every sampled "
             "fab corner is crossed with each wavelength and grouped by "
-            "omega for blocked solves (default: the device's centre "
-            "wavelength only; see 'robust scenario families' below)"
+            "omega (default: the device's centre wavelength only; see "
+            "'robust scenario families' below)"
         ),
     )
     p_design.add_argument(
@@ -408,15 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(BiCGStab preconditioned by the nominal corner's LU, "
             "recycled across the iteration's fabrication corners; a "
             "non-converging solve falls back to a direct factorization "
-            "automatically), or krylov-block (krylov whose corner "
-            "fan-out is one blocked BiCGStab: the preconditioner and "
-            "operator are applied to the whole corner block in single "
-            "matrix-RHS sweeps, columns converge independently, and "
-            "non-converging corners fall back to their own direct "
-            "factorizations; taped thread-pool execution and "
-            "single-corner solves fall back to scalar krylov "
-            "behaviour). krylov:gmres selects GMRES for the scalar "
-            "solves (the block algorithm is always BiCGStab)."
+            "automatically); krylov:gmres selects GMRES.  direct is "
+            "fastest at the default grid, krylov on finer ones "
+            "(see 'choosing an executor / solver' below)"
         ),
     )
     _add_observability_args(p_design)
@@ -459,11 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BACKEND",
         help=(
             "linear-solver backend for the evaluation solves: direct | "
-            "batched | krylov[:gmres] | krylov-block (see `design "
-            "--help`; krylov falls back to direct factorization on "
-            "non-convergence, and krylov-block additionally batches all "
-            "Monte-Carlo samples of a serial evaluation into one "
-            "blocked solve)"
+            "batched | krylov[:gmres] (see `design --help`; krylov falls "
+            "back to direct factorization on non-convergence)"
         ),
     )
     p_eval.add_argument(
@@ -473,20 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "re-evaluate every Monte-Carlo draw at each of these "
             "wavelengths (comma-separated um) and report per-wavelength "
-            "statistics; omega groups share blocked solves under "
-            "krylov-block (default: the device's centre wavelength only)"
-        ),
-    )
-    p_eval.add_argument(
-        "--block-chunk",
-        type=int,
-        default=DEFAULT_BLOCK_CHUNK,
-        metavar="N",
-        help=(
-            "samples per blocked solve on the krylov-block path (>= 1, "
-            "default %(default)s; small chunks re-anchor between cold "
-            "diverse samples, large chunks maximize sweep amortization "
-            "when warm)"
+            "statistics (default: the device's centre wavelength only)"
         ),
     )
     _add_observability_args(p_eval)
@@ -727,25 +706,29 @@ def _cmd_design(args) -> int:
     except ValueError as exc:
         print(f"error: bad axis value: {exc}", file=sys.stderr)
         return 2
-    config = OptimizerConfig(
-        iterations=args.iterations,
-        sampling=args.sampling,
-        relax_epochs=relax,
-        seed=args.seed,
-        wavelengths_um=wavelengths_um,
-        temperatures_k=temperatures_k,
-        aggregate=args.aggregate,
-        corner_executor=args.executor,
-        solver=args.solver,
-        remote_timeout=args.remote_timeout,
-        remote_connect_retries=args.remote_connect_retries,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep,
-        trace_dir=args.trace_dir,
-        trace_format=args.trace_format,
-        metrics_every=args.metrics_every,
-    )
+    try:
+        config = OptimizerConfig(
+            iterations=args.iterations,
+            sampling=args.sampling,
+            relax_epochs=relax,
+            seed=args.seed,
+            wavelengths_um=wavelengths_um,
+            temperatures_k=temperatures_k,
+            aggregate=args.aggregate,
+            corner_executor=args.executor,
+            solver=args.solver,
+            remote_timeout=args.remote_timeout,
+            remote_connect_retries=args.remote_connect_retries,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_keep=args.checkpoint_keep,
+            trace_dir=args.trace_dir,
+            trace_format=args.trace_format,
+            metrics_every=args.metrics_every,
+        )
+    except ValueError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return 2
     optimizer = Boson1Optimizer(device, config)
 
     def log(record):
@@ -787,13 +770,18 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    try:
+        solver = SolverConfig.coerce(args.solver)
+    except ValueError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return 2
     payload = load_result(args.result)
     device = make_device(payload["device"])
     if args.solver != "direct":
         from repro.fdfd.workspace import SimulationWorkspace
 
         device.configure_simulation_cache(
-            True, SimulationWorkspace(solver_config=args.solver)
+            True, SimulationWorkspace(solver_config=solver)
         )
     process = FabricationProcess(
         device.design_shape,
@@ -819,7 +807,7 @@ def _cmd_evaluate(args) -> int:
         pre, _ = evaluate_ideal(device, pattern)
         report = evaluate_post_fab(
             device, process, pattern, n_samples=args.samples, seed=args.seed,
-            executor=args.executor, block_chunk=args.block_chunk,
+            executor=args.executor,
             remote_timeout=args.remote_timeout,
             remote_connect_retries=args.remote_connect_retries,
             wavelengths_um=wavelengths_um,

@@ -74,8 +74,7 @@ class OptimizerConfig:
         pre-scenario engine.  With wavelengths set, every sampled fab
         corner is crossed with each wavelength (and each temperature,
         below); members are grouped by omega so each group shares its
-        Laplacian and — under ``krylov-block`` — rides one blocked
-        solve.
+        Laplacian.
     temperatures_k:
         Operating-temperature axis of the scenario family, in kelvin.
         Composes with each fab corner's own thermal excursion as an
@@ -97,8 +96,7 @@ class OptimizerConfig:
         thread executors produce bit-identical results for LU-backed
         solver backends (``direct``/``batched``; preconditioned
         backends agree to solver tolerance, since fallback anchors
-        arrive in scheduling order and the serial executor takes the
-        blocked path for ``krylov-block``).  The process and remote
+        arrive in scheduling order).  The process and remote
         backends route through the forward-replay fan-out — workers run
         only the forward FDFD solves on pickle-clean payloads and the
         parent assembles the taped VJPs from the returned adjoint-basis
@@ -159,12 +157,7 @@ class OptimizerConfig:
         ``"batched"`` (direct + matrix-RHS sweeps and multi-direction
         batching), ``"krylov"`` (nominal-LU-preconditioned
         BiCGStab/GMRES across corners, with automatic direct fallback;
-        ``"krylov:gmres"`` selects GMRES) or ``"krylov-block"``
-        (krylov whose serial corner fan-out is one *blocked* BiCGStab —
-        preconditioner and operator applied to the whole corner block
-        in single matrix-RHS sweeps, per-column convergence masking,
-        per-corner direct fallback; threaded execution falls back to
-        the scalar per-corner path).  The Krylov knobs (tolerance,
+        ``"krylov:gmres"`` selects GMRES).  The Krylov knobs (tolerance,
         iteration budget, anchors) shape the trajectory only to solver
         precision but are still bound into the checkpoint config digest
         (a resume must replay the same solver).  ``None`` (the default)

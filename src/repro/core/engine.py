@@ -394,11 +394,10 @@ class Boson1Optimizer:
         """Order-preserving partition of a scenario family by omega.
 
         Keyed like the workspace caches (``round(wavelength, 12)``) so
-        every member of a group shares its Laplacian, assembly, and —
-        under ``krylov-block`` — one blocked solve.  Corners without a
-        wavelength axis group under the device's centre wavelength,
-        which makes this the identity (one group) for plain fab-corner
-        runs.
+        every member of a group shares its Laplacian and assembly.
+        Corners without a wavelength axis group under the device's
+        centre wavelength, which makes this the identity (one group)
+        for plain fab-corner runs.
         """
         groups: dict[float, list[int]] = {}
         for i, corner in enumerate(corners):
@@ -414,70 +413,6 @@ class Boson1Optimizer:
         powers = self._powers_for(rho, 1.0)
         loss = build_loss(self.terms, powers, self.config.dense_objectives)
         return loss, powers
-
-    def _corner_losses_block(self, rho: Tensor, corners, include_ideal: bool):
-        """All scenario losses from one blocked solve pair *per omega*.
-
-        The family is partitioned by omega (:meth:`_omega_groups`); each
-        group's members share their Laplacian, so every group joins a
-        single :meth:`PhotonicDevice.port_powers_corners` block solve —
-        shared ``L @ X`` products and single matrix-RHS preconditioner
-        sweeps — and each group's gradients arrive through one
-        transposed block solve on the backward pass.  The fabrication
-        chain still runs (taped) per corner.  While the Eq. (3)
-        relaxation ramp is active (``include_ideal``), the
-        ideal-condition system — which shares the centre-wavelength
-        Laplacian — rides the centre-omega group as one extra column
-        instead of paying its own scalar solve pair; if no scenario sits
-        at the centre wavelength the caller falls back to a scalar ideal
-        solve.  A single-group family at the centre wavelength executes
-        the identical op sequence as the pre-scenario block path, so
-        single-``omega`` runs stay bitwise.
-
-        Returns ``None`` when any group's device cannot batch (backend
-        not block-capable, or a port inside the design window); the
-        caller then uses the per-corner fan-out.  Otherwise returns
-        ``(corner_results, ideal_result)`` with ``ideal_result`` being
-        ``None`` unless requested and hosted.
-        """
-        groups = self._omega_groups(corners)
-        center_key = round(float(self.device.wavelength_um), 12)
-        # Gate every group before fabricating anything: when a device
-        # can never batch (a port inside the design window), the taped
-        # per-corner litho chains built here would be thrown away every
-        # iteration.
-        plan = []
-        for key, idxs in groups.items():
-            device_g = self.device.for_corner(corners[idxs[0]])
-            alphas = [
-                alpha_of_temperature(corners[i].temperature_k) for i in idxs
-            ]
-            with_ideal = include_ideal and key == center_key
-            if with_ideal:
-                alphas.append(1.0)
-            if not device_g.can_batch_corners(alphas):
-                return None
-            plan.append((device_g, idxs, alphas, with_ideal))
-        results: list = [None] * len(corners)
-        ideal_result = None
-        for device_g, idxs, alphas, with_ideal in plan:
-            rho_fabs = [self.process.apply(rho, corners[i]) for i in idxs]
-            if with_ideal:
-                rho_fabs.append(rho)
-            with span("engine.block_corners", "engine", corners=len(alphas)):
-                powers_list = device_g.port_powers_corners(rho_fabs, alphas)
-            if powers_list is None:
-                return None
-            terms = self._terms_for(device_g)
-            group_results = [
-                (build_loss(terms, powers, self.config.dense_objectives), powers)
-                for powers in powers_list
-            ]
-            if with_ideal:
-                ideal_result = group_results.pop()
-            for i, result in zip(idxs, group_results):
-                results[i] = result
-        return results, ideal_result
 
     def _corner_losses_process(self, rho: Tensor, corners, include_ideal: bool):
         """All corner losses via the forward-replay fan-out (fork or TCP).
@@ -586,8 +521,8 @@ class Boson1Optimizer:
 
         With scenario axes configured (``config.wavelengths_um`` /
         ``temperatures_k``) the sampled fab corners are crossed into a
-        scenario family, partitioned by omega so each group shares one
-        blocked solve (or one per-omega fan-out), and reduced by
+        scenario family (partitioned by omega into one fan-out per group
+        on the process and remote executors) and reduced by
         ``config.aggregate`` — weighted mean, tempered soft-max worst
         case, or CVaR tail expectation
         (:func:`repro.core.objective.aggregate_losses`).
@@ -600,16 +535,12 @@ class Boson1Optimizer:
         strategy) is evaluated before the fan-out so the ``krylov``
         backend's preconditioner anchor is established deterministically
         too; its results match the direct backend to solver tolerance.
-        With a block-capable backend (``krylov-block``) and the serial
-        executor, the fan-out is replaced by one blocked solve per
-        direction of the tape (:meth:`_corner_losses_block`); taped
-        threaded execution keeps the per-corner path.  A process or
-        remote executor routes through the forward-replay fan-out
-        (:meth:`_corner_losses_process`): workers carry the forward
-        solves, the parent assembles the VJPs, and results match the
-        serial path to solver precision.  The returned corner count is
-        the number the loss actually averaged over (0 when ``use_fab``
-        is off).
+        A process or remote executor routes through the forward-replay
+        fan-out (:meth:`_corner_losses_process`): workers carry the
+        forward solves, the parent assembles the VJPs, and results match
+        the serial path to solver precision.  The returned corner count
+        is the number the loss actually averaged over (0 when
+        ``use_fab`` is off).
         """
         with span("engine.loss", "engine", iteration=iteration):
             return self._loss_impl(theta_t, iteration)
@@ -648,33 +579,15 @@ class Boson1Optimizer:
 
         p = self.schedule.p(iteration)
         workspace = self.device.workspace
-        corner_results = None
         ideal_result = None
-        if (
-            workspace is not None
-            and workspace.supports_corner_block
-            and isinstance(self.executor, SerialExecutor)
-        ):
-            # Block-corner path: every scenario's system joins one
-            # blocked forward solve per omega group (and one blocked
-            # adjoint solve each on backward), with the relaxation
-            # ramp's ideal system as an extra centre-group column.
-            blocked = self._corner_losses_block(
-                rho, corners, include_ideal=p < 1.0
-            )
-            if blocked is not None:
-                corner_results, ideal_result = blocked
-        if (
-            corner_results is None
-            and not self.executor.supports_shared_memory
-        ):
+        if not self.executor.supports_shared_memory:
             # Process executor: the tape cannot cross process boundaries,
             # so workers replay only the forward solves and the parent
             # assembles the VJPs (see _corner_losses_process).
             corner_results, ideal_result = self._corner_losses_process(
                 rho, corners, include_ideal=p < 1.0
             )
-        if corner_results is None:
+        else:
             # With a preconditioned backend, the first corner (the nominal
             # one, for every built-in sampling strategy) is evaluated before
             # the fan-out so the epoch's preconditioner anchor is

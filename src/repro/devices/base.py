@@ -28,7 +28,7 @@ from repro.autodiff.ops import as_tensor, custom_vjp_with_residuals
 from repro.fdfd.adjoint import PortInfrastructure, PortPowerProblem, PortSpec
 from repro.fdfd.grid import SimGrid
 from repro.fdfd.linalg import SOLVER_REGISTRY
-from repro.fdfd.solver import FdfdFields, HelmholtzSolver, derive_h_fields
+from repro.fdfd.solver import HelmholtzSolver
 from repro.fdfd.workspace import SimulationWorkspace, _LRUCache, shared_workspace
 from repro.params.initializers import PathSegment
 from repro.utils.constants import EPS_SI, EPS_VOID, omega_from_wavelength
@@ -659,235 +659,6 @@ class PhotonicDevice:
         return custom_vjp_with_residuals(
             forward, vjp, name=f"{self.name}:all:powers"
         )
-
-    # ------------------------------------------------------------------ #
-    # Corner-batched powers (block-corner solver backends)               #
-    # ------------------------------------------------------------------ #
-    @property
-    def supports_corner_block(self) -> bool:
-        """Whether the workspace backend can solve corner blocks.
-
-        A property, matching
-        :attr:`SimulationWorkspace.supports_corner_block`, so truthiness
-        checks behave the same on both layers.
-        """
-        return self.workspace is not None and self.workspace.supports_corner_block
-
-    def can_batch_corners(self, alpha_bgs: Sequence[float]) -> bool:
-        """Cheap gate: whether :meth:`port_powers_corners` would batch.
-
-        Callers check this *before* running the per-corner fabrication
-        chains — when a port touches the design window the block op can
-        never apply, and probing here avoids fabricating a corner family
-        whose batched solve will be refused.  Unlike
-        :meth:`_corner_block_op` it builds no backgrounds or closures;
-        it does run (and cache) each (direction, alpha) calibration on
-        first touch — solves the subsequent power evaluation needs
-        anyway.
-        """
-        if not self.supports_corner_block:
-            return False
-        for alpha in dict.fromkeys(float(a) for a in alpha_bgs):
-            for direction in self.directions:
-                *_rest, infra = self._calibration_with_infra(direction, alpha)
-                if infra is None:
-                    return False
-        return True
-
-    def _corner_block_op(self, alpha_bgs: tuple[float, ...]):
-        """Corner-batched power op; ``None`` when block solves can't apply.
-
-        One custom op spanning *all* corners of an iteration: the forward
-        pass stacks every corner's (per-direction) source into one
-        ``(n, k)`` block solved by the workspace's
-        :class:`~repro.fdfd.linalg.CornerBlockSolver` — shared ``L @ X``
-        and single matrix-RHS preconditioner sweeps — and the VJP stacks
-        every adjoint system into one transposed block solve.  Corners
-        sharing a temperature share one calibration; multi-direction
-        devices contribute one column per direction per corner.
-        """
-        if not self.supports_corner_block:
-            return None
-        infos_by_alpha: dict[float, list] = {}
-        for alpha in dict.fromkeys(alpha_bgs):
-            infos = []
-            for direction in self.directions:
-                problem, p_in, incident, infra = self._calibration_with_infra(
-                    direction, alpha
-                )
-                if infra is None:
-                    # A port touches the design window: sources depend on
-                    # the pattern and cannot be precomputed or stacked.
-                    return None
-                infos.append(
-                    (direction, problem, p_in, incident, infra,
-                     self.port_names(direction))
-                )
-            infos_by_alpha[alpha] = infos
-        bg_by_alpha = {
-            alpha: self.cached_background() * alpha for alpha in infos_by_alpha
-        }
-        dslice = self.design_slice
-        contrast = self.eps_solid - EPS_VOID
-        pml = next(iter(infos_by_alpha.values()))[0][1].pml
-        workspace = self.workspace
-
-        def forward(*occ_designs):
-            assembly = workspace.assembly(self.grid, self.omega, pml)
-            eps_list = []
-            for alpha, occ_design in zip(alpha_bgs, occ_designs):
-                occ = bg_by_alpha[alpha].copy()
-                occ[dslice] = occ_design
-                eps_list.append(self.eps_from_occupancy(occ))
-            block = workspace.begin_corner_block(assembly, eps_list)
-            rhs_cols = []
-            systems = []
-            col_infos = []
-            for i, alpha in enumerate(alpha_bgs):
-                for info in infos_by_alpha[alpha]:
-                    rhs_cols.append(
-                        (-1j * self.omega)
-                        * info[4].source_jz.ravel().astype(np.complex128)
-                    )
-                    systems.append(i)
-                    col_infos.append(info)
-            systems = np.asarray(systems, dtype=np.intp)
-            ez_block = block.solve_block(np.stack(rhs_cols, axis=1), systems)
-            # Derived H fields for the whole block: two sparse mat-mats
-            # instead of two matvecs per column.
-            hx_block, hy_block = derive_h_fields(
-                assembly.ops["dxf"], assembly.ops["dyf"], self.omega, ez_block
-            )
-            powers = []
-            solutions = []
-            for j, (direction, problem, p_in, incident, infra, names) in (
-                enumerate(col_infos)
-            ):
-                fields = FdfdFields(
-                    ez=np.ascontiguousarray(ez_block[:, j]).reshape(
-                        self.grid.shape
-                    ),
-                    hx=np.ascontiguousarray(hx_block[:, j]).reshape(
-                        self.grid.shape
-                    ),
-                    hy=np.ascontiguousarray(hy_block[:, j]).reshape(
-                        self.grid.shape
-                    ),
-                )
-                sol = problem.measure(None, fields, incident, infra)
-                solutions.append(sol)
-                powers.extend(sol.raw_powers[n] / p_in for n in names)
-            return (
-                np.array(powers, dtype=np.float64),
-                (block, systems, col_infos, solutions),
-            )
-
-        def vjp(g, out, residuals, *occ_designs):
-            block, systems, col_infos, solutions = residuals
-            adjoint_cols = []
-            offset = 0
-            for (direction, problem, p_in, incident, infra, names), sol in zip(
-                col_infos, solutions
-            ):
-                cotangents = {
-                    n: float(g[offset + i]) for i, n in enumerate(names)
-                }
-                offset += len(names)
-                adjoint_cols.append(
-                    problem.adjoint_source(sol, cotangents, input_power=p_in)
-                )
-            lam_block = block.solve_block(
-                np.stack(adjoint_cols, axis=1), systems, trans="T"
-            )
-            grads = [np.zeros(self.grid.shape) for _ in occ_designs]
-            for j, ((direction, problem, *_rest), sol) in enumerate(
-                zip(col_infos, solutions)
-            ):
-                grads[systems[j]] += problem.grad_from_adjoint(
-                    sol, np.ascontiguousarray(lam_block[:, j])
-                )
-            return tuple(grad[dslice] * contrast for grad in grads)
-
-        return custom_vjp_with_residuals(
-            forward, vjp, name=f"{self.name}:corners:powers"
-        )
-
-    def _split_corner_powers(self, vector, n_corners: int, wrap) -> list[dict]:
-        """Unflatten the corner-major power vector the block op emits.
-
-        Each corner's segment is delegated to :meth:`_split_by_direction`
-        so the per-direction layout stays defined in exactly one place.
-        """
-        stride = sum(len(self.port_names(d)) for d in self.directions)
-        return [
-            self._split_by_direction(
-                vector[c * stride : (c + 1) * stride], wrap
-            )
-            for c in range(n_corners)
-        ]
-
-    def port_powers_corners(
-        self, rho_scaled_list: Sequence, alpha_bgs: Sequence[float]
-    ) -> list[dict[str, dict[str, Tensor]]] | None:
-        """Differentiable powers for a whole corner family (one block solve).
-
-        Parameters
-        ----------
-        rho_scaled_list:
-            One scaled design occupancy per corner (the fabrication
-            chain's per-corner outputs).
-        alpha_bgs:
-            Matching background temperature scales.
-
-        Returns ``None`` when the workspace backend cannot solve corner
-        blocks (callers fall back to per-corner :meth:`port_powers_all`),
-        otherwise one ``{direction: {port: Tensor}}`` dict per corner,
-        all produced by a single blocked forward solve — and, on the
-        backward pass, a single blocked adjoint solve.
-        """
-        if len(rho_scaled_list) != len(alpha_bgs):
-            raise ValueError(
-                f"{len(rho_scaled_list)} patterns for {len(alpha_bgs)} "
-                "temperature scales"
-            )
-        if not rho_scaled_list:
-            raise ValueError("port_powers_corners needs at least one corner")
-        op = self._corner_block_op(tuple(float(a) for a in alpha_bgs))
-        if op is None:
-            return None
-        tensors = [as_tensor(rho) for rho in rho_scaled_list]
-        for tensor in tensors:
-            if tuple(tensor.shape) != self.design_shape:
-                raise ValueError(
-                    f"design shape {tensor.shape} != {self.design_shape}"
-                )
-        vector = op(*tensors)
-        return self._split_corner_powers(vector, len(tensors), lambda e: e)
-
-    def port_powers_array_corners(
-        self, patterns: Sequence[np.ndarray], alpha_bgs: Sequence[float]
-    ) -> list[dict[str, dict[str, float]]] | None:
-        """Plain numpy corner-batched powers (evaluation path, no tape).
-
-        The no-tape counterpart of :meth:`port_powers_corners`: every
-        Monte-Carlo sample's forward system joins one block solve.
-        Returns ``None`` when block solves can't apply.
-        """
-        if len(patterns) != len(alpha_bgs):
-            raise ValueError(
-                f"{len(patterns)} patterns for {len(alpha_bgs)} "
-                "temperature scales"
-            )
-        if not patterns:
-            raise ValueError(
-                "port_powers_array_corners needs at least one corner"
-            )
-        op = self._corner_block_op(tuple(float(a) for a in alpha_bgs))
-        if op is None:
-            return None
-        arrays = [np.asarray(p, dtype=np.float64) for p in patterns]
-        vector = op(*arrays).data
-        return self._split_corner_powers(vector, len(arrays), float)
 
     # ------------------------------------------------------------------ #
     # Forward-replay seam (process-pool corner fan-out)                  #

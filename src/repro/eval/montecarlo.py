@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.core.executors import (
     CornerExecutor,
-    SerialExecutor,
     make_executor,
     map_ordered_with_serial_head,
     run_warm_task,
@@ -29,21 +28,7 @@ __all__ = [
     "RobustnessReport",
     "evaluate_post_fab",
     "evaluate_ideal",
-    "DEFAULT_BLOCK_CHUNK",
 ]
-
-#: Default samples per blocked solve in :func:`evaluate_post_fab`
-#: (overridable via its ``block_chunk`` parameter and the CLI
-#: ``evaluate --block-chunk`` flag, which uses this constant as its
-#: default).  Monte-Carlo
-#: draws are *diverse* (independent litho corners, temperatures, EOLE
-#: fields), so on a cold workspace most of a large block would burn its
-#: iteration budget against the single first-sample anchor and fall
-#: back.  Small chunks let each chunk's fallback factorizations re-anchor
-#: the workspace for the next one — measured on the bending device, 8
-#: cold samples: one 8-block pays 8 fallbacks, chunks of 2 pay 2 — while
-#: warm evaluations lose almost nothing to the smaller block width.
-DEFAULT_BLOCK_CHUNK = 2
 
 
 @dataclass
@@ -214,7 +199,6 @@ def evaluate_post_fab(
     seed: int = 1234,
     t_delta: float = 30.0,
     executor: CornerExecutor | str | None = None,
-    block_chunk: int = DEFAULT_BLOCK_CHUNK,
     remote_timeout: float | None = None,
     remote_connect_retries: int | None = None,
     wavelengths_um=None,
@@ -246,22 +230,7 @@ def evaluate_post_fab(
         deterministic (process workers re-warm their own workspaces and
         anchor per worker chunk); its pooled-executor results can still
         differ from serial at the solver tolerance, since fallback
-        anchors arrive in scheduling order.  With a block-capable
-        backend (``krylov-block``) and the serial executor, every
-        sample's forward system joins one blocked solve
-        (:meth:`PhotonicDevice.port_powers_array_corners`) — the first
-        sample anchors the block deterministically, and samples that
-        don't converge against it fall back to their own direct
-        factorizations.
-    block_chunk:
-        Samples per blocked solve on the ``krylov-block`` path (must be
-        >= 1; default 2).  Small chunks let fallback factorizations
-        re-anchor the workspace between chunks on cold, diverse sample
-        sets; large chunks maximize sweep amortization on warm ones.
-        Converged results are chunking-independent — when no sample
-        falls back mid-run the report is bitwise identical for every
-        chunk size (asserted by the test suite), and fallback anchoring
-        differences stay within the solver tolerance.
+        anchors arrive in scheduling order.
     remote_timeout:
         Dead-worker detection bound (seconds) for ``remote`` executor
         specs; ignored otherwise.  ``None`` keeps the default
@@ -277,16 +246,11 @@ def evaluate_post_fab(
         wavelength (same draws across strata — a paired comparison),
         and the report exposes per-wavelength statistics via
         :meth:`RobustnessReport.stratified_foms` /
-        :meth:`~RobustnessReport.stratified_yield`.  Scenarios are
-        grouped by omega on the blocked path so each wavelength's
-        samples share their Laplacian.  ``None`` (the default) keeps
-        the single-wavelength behaviour bit-for-bit.
+        :meth:`~RobustnessReport.stratified_yield`.  ``None`` (the
+        default) keeps the single-wavelength behaviour bit-for-bit.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    block_chunk = int(block_chunk)
-    if block_chunk < 1:
-        raise ValueError(f"block_chunk must be >= 1, got {block_chunk}")
     pattern = np.asarray(pattern, dtype=np.float64)
     rng = rng_from_seed(seed)
     corners = [
@@ -309,51 +273,7 @@ def evaluate_post_fab(
     task = functools.partial(_evaluate_sample, device, process, pattern)
     workspace = device.workspace
     try:
-        results = None
-        alphas = [alpha_of_temperature(c.temperature_k) for c in corners]
-        # Order-preserving omega groups: samples of one wavelength share
-        # their Laplacian and ride the same blocked solves.  A
-        # non-stratified evaluation is a single group on `device`.
-        omega_groups: dict = {}
-        for i, c in enumerate(corners):
-            lam = (
-                c.wavelength_um
-                if c.wavelength_um is not None
-                else device.wavelength_um
-            )
-            omega_groups.setdefault(round(float(lam), 12), []).append(i)
-        if (
-            workspace is not None
-            and workspace.supports_corner_block
-            and isinstance(pool, SerialExecutor)
-            # Gate before fabricating all samples (see PhotonicDevice
-            # .can_batch_corners): an unbatchable device would waste
-            # every apply_array below.
-            and all(
-                device.for_corner(corners[idxs[0]]).can_batch_corners(
-                    [alphas[i] for i in idxs]
-                )
-                for idxs in omega_groups.values()
-            )
-        ):
-            fabbed = [process.apply_array(pattern, c) for c in corners]
-            blocked: list | None = [None] * n_scenarios
-            for idxs in omega_groups.values():
-                clone = device.for_corner(corners[idxs[0]])
-                for start in range(0, len(idxs), block_chunk):
-                    sel = idxs[start:start + block_chunk]
-                    chunk = clone.port_powers_array_corners(
-                        [fabbed[i] for i in sel], [alphas[i] for i in sel]
-                    )
-                    if chunk is None:
-                        blocked = None
-                        break
-                    for i, powers in zip(sel, chunk):
-                        blocked[i] = (clone.fom(powers), powers)
-                if blocked is None:
-                    break
-            results = blocked
-        if results is None and not pool.supports_shared_memory:
+        if not pool.supports_shared_memory:
             # Process/remote fan-out: same warm-pool seam as the
             # engine's taped corner fan-out — workers (forked or behind
             # a socket) keep their re-warmed device across chunks and
@@ -383,7 +303,7 @@ def evaluate_post_fab(
                 if workspace is not None:
                     workspace.merge_solver_stats(delta)
                 results.append((fom, powers))
-        if results is None:
+        else:
             results = map_ordered_with_serial_head(
                 pool,
                 task,

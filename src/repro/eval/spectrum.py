@@ -15,10 +15,7 @@ them on the parent device and routes their solves through the shared
 :class:`~repro.fdfd.workspace.SimulationWorkspace`: a repeated sweep (a
 second pattern, a finer wavelength grid revisiting old points) hits the
 cached calibration runs, slab modes and operator assemblies instead of
-re-solving cold at every wavelength.  Under a block-capable backend
-(``krylov-block``) each wavelength additionally rides the omega-grouped
-blocked path — one blocked solve per wavelength instead of per-direction
-scalar solves — while LU-backed backends keep the scalar path bitwise.
+re-solving cold at every wavelength.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.base import PhotonicDevice
-from repro.fdfd.adjoint import PortPowerProblem
 
 __all__ = ["SpectrumResult", "wavelength_sweep"]
 
@@ -96,19 +92,7 @@ def wavelength_sweep(
     all_powers: list[dict[str, dict[str, float]]] = []
     for i, lam in enumerate(wavelengths):
         clone = device.at_wavelength(lam)
-        powers = None
-        if clone.supports_corner_block and clone.can_batch_corners([alpha_bg]):
-            # Block-capable backend (krylov-block): this wavelength's
-            # per-direction systems ride one blocked solve — shared
-            # ``L @ X`` and a single matrix-RHS preconditioner sweep —
-            # instead of one scalar solve per direction.  LU-backed
-            # backends (direct/batched) never take this branch, so
-            # their sweeps stay bitwise-identical to the scalar path.
-            batched = clone.port_powers_array_corners([pattern], [alpha_bg])
-            if batched is not None:
-                powers = batched[0]
-        if powers is None:
-            powers = clone.port_powers_array_all(pattern, alpha_bg)
+        powers = clone.port_powers_array_all(pattern, alpha_bg)
         foms[i] = clone.fom(powers)
         all_powers.append(powers)
     return SpectrumResult(

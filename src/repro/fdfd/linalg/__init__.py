@@ -1,17 +1,13 @@
 """Pluggable linear-solver subsystem for the FDFD stack.
 
 See :mod:`repro.fdfd.linalg.base` for the interface and registry,
-:mod:`repro.fdfd.linalg.direct` for the SuperLU backends,
+:mod:`repro.fdfd.linalg.direct` for the SuperLU backends and
 :mod:`repro.fdfd.linalg.krylov` for the preconditioned iterative
-backend, and :mod:`repro.fdfd.linalg.blocked` for the corner-block
-variant.  Backend selection is a string key (``direct`` / ``batched`` /
-``krylov`` / ``krylov-block``) carried by :class:`SolverConfig` from the
-optimizer config and the CLI down to
-:class:`repro.fdfd.workspace.SimulationWorkspace`.  Each Krylov backend
-runs one recurrence: ``krylov`` a BiCGStab/GMRES solve per column,
-``krylov-block`` one blocked BiCGStab per corner family, both
-preconditioned by a nearby anchor LU in full precision.
-"""
+backend.  Backend selection is a string key (``direct`` / ``batched`` /
+``krylov``) carried by :class:`SolverConfig` from the optimizer config
+and the CLI down to :class:`repro.fdfd.workspace.SimulationWorkspace`.
+The ``krylov`` backend runs one BiCGStab/GMRES solve per column,
+preconditioned by a nearby anchor LU in full precision."""
 
 from repro.fdfd.linalg.base import (
     SOLVER_REGISTRY,
@@ -21,11 +17,6 @@ from repro.fdfd.linalg.base import (
     available_backends,
     make_linear_solver,
     register_solver,
-)
-from repro.fdfd.linalg.blocked import (
-    BlockDiagnostics,
-    BlockedKrylovSolver,
-    CornerBlockSolver,
 )
 from repro.fdfd.linalg.direct import BatchedDirectSolver, DirectSolver
 from repro.fdfd.linalg.krylov import KrylovDiagnostics, PreconditionedKrylovSolver
@@ -42,7 +33,4 @@ __all__ = [
     "BatchedDirectSolver",
     "PreconditionedKrylovSolver",
     "KrylovDiagnostics",
-    "BlockedKrylovSolver",
-    "CornerBlockSolver",
-    "BlockDiagnostics",
 ]

@@ -60,9 +60,7 @@ class SolverConfig:
         bitwise reference), ``"batched"`` (direct, plus matrix-RHS
         triangular sweeps and multi-direction forward/adjoint batching),
         ``"krylov"`` (BiCGStab/GMRES preconditioned by the reused
-        nominal-corner LU, with automatic fallback to direct) or
-        ``"krylov-block"`` (krylov whose corner family is one blocked
-        BiCGStab solve).
+        nominal-corner LU, with automatic fallback to direct).
     krylov_method:
         ``"bicgstab"`` (default) or ``"gmres"``.
     tol:
@@ -102,6 +100,12 @@ class SolverConfig:
     gmres_restart: int = 30
 
     def __post_init__(self):
+        if self.backend == "krylov-block":
+            raise ValueError(
+                "solver backend 'krylov-block' was removed; use 'krylov' "
+                "(the same anchor-preconditioned BiCGStab, one solve per "
+                "corner)"
+            )
         if self.backend not in SOLVER_REGISTRY:
             raise ValueError(
                 f"unknown solver backend {self.backend!r}; "
@@ -151,13 +155,7 @@ class SolveStats:
 
     ``iterations`` counts Krylov sweeps only; a direct (or fallback)
     solve contributes to ``factorizations`` and ``solves`` but not to
-    ``iterations``.  The ``block_*`` counters describe corner-block
-    solves (the ``krylov-block`` backend): ``block_sweeps`` counts
-    *blocked* BiCGStab sweeps — each applies the preconditioner and the
-    operator to the whole active corner block in single matrix-RHS
-    calls, so one block sweep amortizes what the scalar path pays once
-    per column — while the per-column convergence work still lands in
-    ``krylov_solves`` / ``iterations`` for like-for-like means.
+    ``iterations``.
     """
 
     _FIELDS = (
@@ -169,9 +167,6 @@ class SolveStats:
         "iterations",
         "wasted_iterations",
         "fallbacks",
-        "block_solves",
-        "block_sweeps",
-        "block_columns",
     )
 
     def __init__(self):

@@ -36,23 +36,7 @@ from repro.fdfd.workspace import (
     shared_workspace,
 )
 
-__all__ = ["HelmholtzSolver", "FdfdFields", "derive_h_fields"]
-
-
-def derive_h_fields(dxf, dyf, omega: float, ez):
-    """``(Hx, Hy)`` from ``Ez`` under the engineering time convention.
-
-    The single source of the SC-PML sign convention: with the stretch
-    ``s = 1 - i sigma / omega`` absorbing outgoing waves under
-    ``e^{+i omega t}``, the curl relations give
-    ``Hx = -d_y Ez / (i omega mu)`` and ``Hy = +d_x Ez / (i omega mu)``
-    in natural units.  ``ez`` may be a flat vector or an ``(n, k)``
-    block — sparse mat-vec and mat-mat both apply, so blocked solvers
-    derive all columns' H fields in two products.
-    """
-    hx = -(dyf @ ez) / (1j * omega)
-    hy = (dxf @ ez) / (1j * omega)
-    return hx, hy
+__all__ = ["HelmholtzSolver", "FdfdFields"]
 
 
 @dataclass
@@ -182,12 +166,13 @@ class HelmholtzSolver:
         reconstruct per-column field bundles.
         """
         ez = ez_flat.reshape(self.grid.shape)
-        hx, hy = derive_h_fields(self._dxf, self._dyf, self.omega, ez_flat)
-        return FdfdFields(
-            ez=ez,
-            hx=hx.reshape(self.grid.shape),
-            hy=hy.reshape(self.grid.shape),
-        )
+        # The SC-PML stretch ``s = 1 - i sigma / omega`` absorbs outgoing
+        # waves under the e^{+i omega t} engineering time convention, whose
+        # curl relations give Hx = -d_y Ez / (i omega mu), Hy = +d_x Ez /
+        # (i omega mu) in natural units.
+        hx = -(self._dyf @ ez_flat).reshape(self.grid.shape) / (1j * self.omega)
+        hy = (self._dxf @ ez_flat).reshape(self.grid.shape) / (1j * self.omega)
+        return FdfdFields(ez=ez, hx=hx, hy=hy)
 
     def solve_raw(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for an arbitrary flattened right-hand side."""

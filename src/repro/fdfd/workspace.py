@@ -198,16 +198,6 @@ class FdfdAssembly:
             return None
         return positions
 
-    @property
-    def laplacian_csc(self) -> sp.csc_matrix:
-        """The cached CSC Laplacian (shared; callers must not mutate it).
-
-        Block-corner solvers apply it to whole right-hand-side blocks
-        (``L @ X``) so every corner of an iteration shares one sparse
-        mat-mat product per sweep.
-        """
-        return self._laplacian_csc
-
     # ------------------------------------------------------------------ #
     def system_matrix(self, eps_r: np.ndarray) -> sp.csc_matrix:
         """``A = L + diag(omega^2 eps_r)`` in CSC format."""
@@ -500,136 +490,6 @@ class SimulationWorkspace:
             anchors[eps_hash] = _PrecondAnchor(eps_flat, lu)
             while len(anchors) > self.solver_config.max_anchors:
                 anchors.popitem(last=False)
-
-    @property
-    def supports_corner_block(self) -> bool:
-        """Whether the configured backend can solve corner *blocks*.
-
-        True for ``krylov-block``: :meth:`begin_corner_block` then
-        returns a block operator that solves every corner of an
-        iteration through shared matrix-RHS sweeps.  Devices and the
-        optimizer use this to route the corner fan-out through the
-        blocked path instead of per-corner solves.
-        """
-        backend = SOLVER_REGISTRY[self.solver_config.backend]
-        return bool(getattr(backend, "supports_corner_block", False))
-
-    def begin_corner_block(self, assembly: FdfdAssembly, eps_list):
-        """Open a corner block: one block operator for a corner family.
-
-        The block analogue of the per-corner :meth:`linear_solver` path,
-        sharing its anchor policy: the first permittivity of the epoch
-        (``eps_list[0]`` — the nominal corner in the optimizer loop, if
-        nothing anchored earlier) is factorized and becomes the anchor;
-        the whole block is preconditioned by the anchor nearest to the
-        nominal corner.  Systems whose permittivity *is* an existing
-        anchor are solved exactly with that LU (like the scalar path's
-        ``DirectSolver`` for the anchor corner), and per-column direct
-        fallbacks re-anchor through :meth:`_add_anchor` exactly like the
-        scalar fallback.
-
-        Returns ``None`` when the configured backend is not
-        block-capable — callers then fall back to per-corner solves.
-        """
-        backend_cls = SOLVER_REGISTRY[self.solver_config.backend]
-        if not getattr(backend_cls, "supports_corner_block", False):
-            return None
-        with span("workspace.begin_corner_block", "solver",
-                  corners=len(eps_list)):
-            return self._begin_corner_block(backend_cls, assembly, eps_list)
-
-    def _begin_corner_block(self, backend_cls, assembly, eps_list):
-        eps_arrs = [np.asarray(e, dtype=np.float64) for e in eps_list]
-        if not eps_arrs:
-            raise ValueError("begin_corner_block needs at least one corner")
-        hashes = [_hash_array(e) for e in eps_arrs]
-        akey = (assembly.grid, round(assembly.omega, 12), assembly.pml)
-        nominal_flat = eps_arrs[0].ravel()
-        with self._anchor_lock:
-            anchors = self._anchor_pool(akey)
-            seed_nominal = not anchors
-            nearest = None
-            if anchors:
-                nearest = min(
-                    anchors.values(),
-                    key=lambda a: float(
-                        np.linalg.norm(a.eps - nominal_flat)
-                    ),
-                )
-                if hashes[0] not in anchors and len(eps_arrs) > 1:
-                    # One preconditioner serves the whole block, so an
-                    # off-family anchor (e.g. a calibration environment
-                    # factorized earlier in the epoch) would sink every
-                    # column at once — the scalar path self-heals via its
-                    # first fallback, the block must decide up front.
-                    # Yardstick: the corner family's own spread around
-                    # the nominal; an anchor within ~2 spreads is
-                    # family-grade (the worst-corner probe), anything
-                    # farther is worth one nominal factorization.
-                    nearest_dist = float(
-                        np.linalg.norm(nearest.eps - nominal_flat)
-                    )
-                    spread = max(
-                        float(np.linalg.norm(e.ravel() - nominal_flat))
-                        for e in eps_arrs[1:]
-                    )
-                    # A zero-spread family (degenerate corners) makes any
-                    # nonzero-distance anchor off-family by definition.
-                    if nearest_dist > 2.0 * spread:
-                        seed_nominal = True
-            if seed_nominal:
-                # Seed from the factorization LRU when it already holds
-                # an LU for the nominal permittivity (repeated-theta
-                # workloads: FD probing, line searches), and register a
-                # fresh factorization back into it — the same recycling
-                # contract the scalar path gets from linear_solver().
-                fkey = (*akey, hashes[0])
-                cached = self._factorizations.get(fkey)
-                lu = None if cached is None else cached.lu
-                if lu is None:
-                    matrix = assembly.system_matrix(eps_arrs[0])
-                    lu = self.factor_options.splu(matrix)
-                    self.solver_stats.add(factorizations=1)
-                    self._store_solver(
-                        fkey, DirectSolver(matrix, lu, self.solver_stats)
-                    )
-                anchors[hashes[0]] = _PrecondAnchor(nominal_flat.copy(), lu)
-                while len(anchors) > self.solver_config.max_anchors:
-                    anchors.popitem(last=False)
-                nearest = anchors[hashes[0]]
-            exact = {
-                i: anchors[h].lu for i, h in enumerate(hashes) if h in anchors
-            }
-        for i, h in enumerate(hashes):
-            # Corners whose LU survives in the factorization LRU (e.g.
-            # fallbacks of a previous block over the same theta) are
-            # solved exactly instead of re-iterated or re-factorized —
-            # the block analogue of the scalar path's cache hit.
-            if i in exact:
-                continue
-            cached = self._factorizations.get((*akey, h))
-            if cached is not None and cached.lu is not None:
-                exact[i] = cached.lu
-
-        def reanchor(system: int, direct) -> None:
-            self._add_anchor(
-                akey, hashes[system], eps_arrs[system].ravel().copy(), direct.lu
-            )
-            # Mirror the scalar path: the fallback solver joins the
-            # factorization LRU so re-solving this permittivity within
-            # the epoch is a cache hit, not a refactorization.
-            self._store_solver((*akey, hashes[system]), direct)
-
-        return backend_cls.corner_block(
-            assembly,
-            eps_arrs,
-            preconditioner=nearest.lu,
-            exact_lus=exact,
-            factor_options=self.factor_options,
-            config=self.solver_config,
-            stats=self.solver_stats,
-            on_fallback=reanchor,
-        )
 
     @property
     def solver_uses_preconditioner(self) -> bool:

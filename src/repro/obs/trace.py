@@ -1,7 +1,7 @@
 """Near-zero-overhead span tracer with cross-process propagation.
 
 The hot layers (engine iterations, workspace factorizations and solves,
-blocked sweeps, executor dispatch, remote frames, checkpoint writes) are
+krylov sweeps, executor dispatch, remote frames, checkpoint writes) are
 instrumented with :func:`span` — a context manager that costs one
 attribute read and a ``None`` check when tracing is disabled, which is
 the permanent state of every production process that never asked for a

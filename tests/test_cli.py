@@ -98,6 +98,50 @@ class TestCommands:
         assert out_path.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag, value, needle",
+        [
+            ("--solver", "krylov-block", "use 'krylov'"),
+            ("--solver", "bogus", "unknown solver backend 'bogus'"),
+            ("--executor", "bogus", "got 'bogus'"),
+            ("--aggregate", "bogus", "unknown aggregate mode 'bogus'"),
+        ],
+    )
+    def test_design_refuses_bad_config_value(
+        self, tmp_path, capsys, flag, value, needle
+    ):
+        out_path = tmp_path / "design.json"
+        code = main(
+            ["design", "bending", "--iterations", "1", flag, value,
+             "--output", str(out_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert needle in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "solver, needle",
+        [
+            ("krylov-block", "use 'krylov'"),
+            ("bogus", "unknown solver backend 'bogus'"),
+            ("krylov:bogus", "got 'bogus'"),
+        ],
+    )
+    def test_evaluate_refuses_bad_solver(self, tmp_path, capsys, solver, needle):
+        from repro.utils.io import save_result
+
+        path = save_result(
+            {"device": "bending", "pattern": np.zeros((32, 32))},
+            tmp_path / "design.json",
+        )
+        code = main(["evaluate", str(path), "--samples", "1", "--solver", solver])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert needle in err
+
     def test_baseline_command(self, tmp_path, capsys):
         out_path = tmp_path / "ls.json"
         code = main(

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.autodiff import Tensor
 from repro.core import Boson1Optimizer, OptimizerConfig
-from repro.core.sampling import AxialPlusWorstSampling
+from repro.core.sampling import AxialPlusWorstSampling, SamplingStrategy
 from repro.devices import make_device
 from repro.fab.corners import VariationCorner
 
@@ -100,6 +101,26 @@ class TestEngineBasics:
         r2 = Boson1Optimizer(bend, fast_cfg(seed=7)).run()
         np.testing.assert_array_equal(r1.pattern, r2.pattern)
         assert r1.final_loss == r2.final_loss
+
+
+class _EmptySampling(SamplingStrategy):
+    name = "empty-for-test"
+
+    def corners(self, iteration, rng, worst_finder=None):
+        return []
+
+
+class TestZeroCornerLossError:
+    def test_loss_names_the_sampler(self):
+        device = make_device("bending")
+        optimizer = Boson1Optimizer(
+            device, OptimizerConfig(iterations=1, seed=0, sampling="axial")
+        )
+        optimizer.sampler = _EmptySampling()
+        theta = Tensor(optimizer.theta, requires_grad=True)
+        with pytest.raises(ValueError, match="empty-for-test"):
+            optimizer.loss(theta, 0)
+        optimizer.close()
 
 
 class TestEngineModes:

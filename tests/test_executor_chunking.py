@@ -95,8 +95,8 @@ def test_ordered_reduction_invariant_across_executors(fleet, items):
 @settings(**SETTINGS)
 @given(items=ITEMS, chunk=st.integers(min_value=1, max_value=9))
 def test_chunked_maps_concatenate_to_serial(fleet, items, chunk):
-    """Splitting one fan-out into arbitrary chunked map calls (the
-    Monte-Carlo block_chunk pattern) never changes the reduction."""
+    """Splitting one fan-out into arbitrary chunked map calls (e.g. a
+    caller batching its samples) never changes the reduction."""
     expected = [_affine(x) for x in items]
     for name, executor in _EXECUTORS.items():
         out = []
@@ -192,9 +192,9 @@ def test_aggregation_invariant_under_family_permutation(
 def test_aggregation_invariant_under_executor_chunking(
     family, chunk, mode_alpha
 ):
-    """Fanning the family out in arbitrary chunked map calls (the
-    Monte-Carlo block_chunk pattern) and aggregating the reassembled
-    list is bitwise the direct serial reduction."""
+    """Fanning the family out in arbitrary chunked map calls and
+    aggregating the reassembled list is bitwise the direct serial
+    reduction."""
     mode, alpha = mode_alpha
     weights = [c.weight for c in family]
     direct = aggregate_losses(

@@ -302,6 +302,71 @@ class TestKrylovBudgetAndFallback:
         np.testing.assert_allclose(matrix @ out, rhs, atol=1e-8)
 
 
+class TestGmresRestartValidation:
+    def test_zero_restart_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="gmres_restart"):
+            SolverConfig(gmres_restart=0)
+
+    def test_negative_restart_rejected(self):
+        with pytest.raises(ValueError, match="gmres_restart"):
+            SolverConfig(backend="krylov", gmres_restart=-3)
+
+    def test_restart_of_one_is_valid_and_solvable(self, grid, eps):
+        # The smallest legal restart must actually run (outer cycles =
+        # maxiter), not just pass validation.
+        cfg = SolverConfig(
+            backend="krylov", krylov_method="gmres", gmres_restart=1,
+            tol=1e-9, maxiter=40,
+        )
+        ws = SimulationWorkspace(solver_config=cfg)
+        HelmholtzSolver(grid, eps, OMEGA, workspace=ws)  # anchor
+        corner = eps.copy()
+        corner[14:26, 12:24] += 0.3
+        solver = HelmholtzSolver(grid, corner, OMEGA, workspace=ws)
+        b = rhs_block(grid)[:, 0]
+        x = solver.solve_raw(b)
+        resid = np.linalg.norm(solver.system_matrix @ x - b) / np.linalg.norm(b)
+        assert resid < 1e-6
+
+
+class TestSolveManyPostFallback:
+    def _fallen_back_solver(self, grid, eps):
+        """A krylov solver that already paid for its direct fallback."""
+        cfg = SolverConfig(backend="krylov", maxiter=1)
+        ws = SimulationWorkspace(solver_config=cfg)
+        HelmholtzSolver(grid, eps, OMEGA, workspace=ws)  # anchor
+        far = np.full(grid.shape, 6.0)
+        solver = HelmholtzSolver(grid, far, OMEGA, workspace=ws)
+        solver.solve_raw(rhs_block(grid)[:, 0])  # triggers the fallback
+        assert ws.stats()["solver"]["fallbacks"] == 1
+        return ws, solver
+
+    def test_block_short_circuits_to_fallback_factorization(self, grid, eps):
+        ws, solver = self._fallen_back_solver(grid, eps)
+        before = ws.stats()["solver"]
+        block = rhs_block(grid, k=4, seed=3)
+        out = solver.solve_many(block)
+        after = ws.stats()["solver"]
+        # One matrix-RHS sweep through the already-paid factorization:
+        # no new factorization, no Krylov iterations, one batched call.
+        assert after["factorizations"] == before["factorizations"]
+        assert after["iterations"] == before["iterations"]
+        assert after["batched_calls"] == before["batched_calls"] + 1
+        ref = HelmholtzSolver(grid, np.full(grid.shape, 6.0), OMEGA, workspace=None)
+        for j in range(4):
+            expect = ref.solve_raw(block[:, j])
+            np.testing.assert_allclose(out[:, j], expect, rtol=1e-10, atol=1e-12)
+
+    def test_transposed_block_also_short_circuits(self, grid, eps):
+        ws, solver = self._fallen_back_solver(grid, eps)
+        block = rhs_block(grid, k=2, seed=4)
+        out = solver.solve_many(block, trans="T")
+        ref = HelmholtzSolver(grid, np.full(grid.shape, 6.0), OMEGA, workspace=None)
+        for j in range(2):
+            expect = ref.solve_transposed(block[:, j])
+            np.testing.assert_allclose(out[:, j], expect, rtol=1e-10, atol=1e-12)
+
+
 class TestWorkspaceStatsRates:
     def test_hit_rate_percentages(self, grid, eps):
         ws = SimulationWorkspace()

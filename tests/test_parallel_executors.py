@@ -44,7 +44,7 @@ from repro.devices import make_device
 from repro.eval import evaluate_post_fab
 from repro.fab.process import FabricationProcess
 from repro.fdfd import HelmholtzSolver, SimGrid, SimulationWorkspace
-from repro.fdfd.linalg import SolveStats, SolverConfig
+from repro.fdfd.linalg import SolveStats
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
@@ -372,7 +372,7 @@ class TestMonteCarloExecutors:
 # --------------------------------------------------------------------- #
 # Process-pool taped corner fan-out (forward replay + VJP assembly)     #
 # --------------------------------------------------------------------- #
-ALL_BACKENDS = ("direct", "batched", "krylov", "krylov-block")
+ALL_BACKENDS = ("direct", "batched", "krylov")
 #: Tolerance of process-vs-serial comparisons per backend: LU-backed
 #: backends differ only in adjoint recombination (per-port basis solves
 #: instead of one aggregated solve — machine-epsilon territory);
@@ -381,7 +381,6 @@ PROCESS_TOL = {
     "direct": dict(rtol=1e-9, atol=1e-12),
     "batched": dict(rtol=1e-9, atol=1e-12),
     "krylov": dict(rtol=1e-5, atol=1e-7),
-    "krylov-block": dict(rtol=1e-5, atol=1e-7),
 }
 
 
@@ -643,8 +642,7 @@ class TestCrossExecutorDeterminism:
             assert np.array_equal(serial.fom_trace(), threaded.fom_trace())
             assert np.array_equal(serial.pattern, threaded.pattern)
         else:
-            # Preconditioned backends: the serial executor takes the
-            # blocked path (krylov-block) and fallback anchors arrive in
+            # Preconditioned backends: fallback anchors arrive in
             # scheduling order, so agreement is to solver precision.
             np.testing.assert_allclose(
                 threaded.fom_trace(),
@@ -844,60 +842,3 @@ class TestSolveStatsConcurrencyAndMerge:
         # Workers factorized and solved; the parent saw all of it.
         assert stats["factorizations"] > 0
         assert stats["solves"] > 0
-
-
-class TestMonteCarloBlockChunk:
-    @pytest.fixture(scope="class")
-    def mc_setup(self):
-        device = make_device("bending")
-        process = FabricationProcess(
-            device.design_shape,
-            device.dl,
-            context=device.litho_context(12),
-            pad=12,
-        )
-        pattern = rasterize_segments(
-            device.design_shape, device.dl, device.init_segments()
-        )
-        return device, process, pattern
-
-    def test_chunk_size_validated(self, mc_setup):
-        device, process, pattern = mc_setup
-        with pytest.raises(ValueError, match="block_chunk"):
-            evaluate_post_fab(device, process, pattern, 2, block_chunk=0)
-        with pytest.raises(ValueError, match="block_chunk"):
-            evaluate_post_fab(device, process, pattern, 2, block_chunk=-3)
-
-    def test_chunk_size_irrelevant_for_direct_backend(self, mc_setup):
-        device, process, pattern = mc_setup
-        a = evaluate_post_fab(device, process, pattern, 3, seed=2, block_chunk=1)
-        b = evaluate_post_fab(device, process, pattern, 3, seed=2, block_chunk=5)
-        assert np.array_equal(a.foms, b.foms)
-        assert a.mean_powers == b.mean_powers
-
-    def test_chunk_size_never_changes_blocked_results_bitwise(self, mc_setup):
-        """Converged blocked evaluations are chunking-independent.
-
-        Per-column recurrences are independent of sibling columns, so as
-        long as no sample falls back mid-run (generous maxiter), every
-        chunking — including one sample per block and all samples in one
-        block — produces bit-identical reports.
-        """
-        _, process, pattern = mc_setup
-        reports = {}
-        for chunk in (1, 2, 3, 6):
-            device = make_device("bending")
-            device.configure_simulation_cache(
-                True,
-                SimulationWorkspace(
-                    solver_config=SolverConfig(
-                        backend="krylov-block", maxiter=80
-                    )
-                ),
-            )
-            reports[chunk] = evaluate_post_fab(
-                device, process, pattern, 6, seed=2, block_chunk=chunk
-            )
-        for chunk in (2, 3, 6):
-            assert np.array_equal(reports[chunk].foms, reports[1].foms)
-            assert reports[chunk].mean_powers == reports[1].mean_powers

@@ -9,9 +9,7 @@ Covers the full stack of the scenario-family refactor:
 * the ``mean`` / ``worst`` / ``cvar`` aggregation modes, including
   permutation invariance and finite-difference gradient checks through
   the full engine tape on bending and crossing;
-* omega-grouped blocked solves: each wavelength group rides exactly one
-  blocked forward + one blocked adjoint solve per iteration, and the
-  blocked gradient matches the per-corner scalar path to solver
+* the krylov scenario gradient matches the direct path to solver
   precision;
 * bitwise parity of a centre-wavelength-pinned run against the
   axis-free path for LU-backed backends;
@@ -251,7 +249,7 @@ class TestAggregation:
 
 
 # --------------------------------------------------------------------- #
-# Engine: omega-grouped blocked solves + aggregation gradients          #
+# Engine: krylov vs. direct + aggregation gradients                     #
 # --------------------------------------------------------------------- #
 def _engine_grad(device, cfg):
     """Gradient of the iteration-0 scenario loss at the initial theta."""
@@ -281,32 +279,14 @@ def _scenario_cfg(**kw):
 
 class TestEngineScenarioRuns:
     @pytest.mark.krylov
-    @pytest.mark.parametrize("aggregate", ["worst", "cvar:0.5"])
-    def test_each_omega_group_rides_one_blocked_solve(self, aggregate):
-        device = make_device("bending")
-        cfg = _scenario_cfg(solver="krylov-block", aggregate=aggregate)
-        opt = Boson1Optimizer(device, cfg)
-        result = opt.run()
-        opt.close()
-        rng = np.random.default_rng(0)
-        n_base = len(make_sampling_strategy("axial").corners(0, rng))
-        assert result.history[0].n_corners == n_base * 4
-        stats = device.workspace.stats()["solver"]
-        # Two wavelength groups x (forward + adjoint) x two iterations;
-        # the temperature axis shares its wavelength's Laplacian and
-        # must NOT add solves.
-        assert stats["block_solves"] == 2 * 2 * cfg.iterations
-        assert np.all(np.isfinite(result.loss_trace()))
-
-    @pytest.mark.krylov
     def test_blocked_gradient_matches_scalar_path(self):
         grads = {}
-        for backend in ("direct", "krylov-block"):
+        for backend in ("direct", "krylov"):
             device = _device_with_backend("bending", backend)
             cfg = _scenario_cfg(aggregate="worst", solver=backend)
             grads[backend], *_ = _engine_grad(device, cfg)
         np.testing.assert_allclose(
-            grads["krylov-block"], grads["direct"], rtol=1e-5, atol=1e-7
+            grads["krylov"], grads["direct"], rtol=1e-5, atol=1e-7
         )
 
     @pytest.mark.parametrize("device_name", ["bending", "crossing"])
@@ -468,7 +448,7 @@ class TestDemux:
 class TestStratifiedEval:
     N_SAMPLES = 3
 
-    def _report(self, backend, **kw):
+    def _report(self, backend):
         device = _device_with_backend("bending", backend)
         process = FabricationProcess(
             device.design_shape,
@@ -483,7 +463,6 @@ class TestStratifiedEval:
             n_samples=self.N_SAMPLES,
             seed=7,
             wavelengths_um=LAMBDAS,
-            **kw,
         )
 
     def test_strata_share_fabrication_draws(self):
@@ -510,9 +489,9 @@ class TestStratifiedEval:
     @pytest.mark.krylov
     def test_blocked_stratified_matches_direct(self):
         direct = self._report("direct")
-        blocked = self._report("krylov-block", block_chunk=4)
+        krylov = self._report("krylov")
         np.testing.assert_allclose(
-            blocked.foms, direct.foms, rtol=1e-4, atol=1e-8
+            krylov.foms, direct.foms, rtol=1e-4, atol=1e-8
         )
 
     def test_spectrum_sweep_direct_stays_scalar_bitwise(self):
@@ -528,11 +507,11 @@ class TestStratifiedEval:
     def test_spectrum_sweep_blocked_matches_direct(self):
         pattern = None
         foms = {}
-        for backend in ("direct", "krylov-block"):
+        for backend in ("direct", "krylov"):
             device = _device_with_backend("bending", backend)
             if pattern is None:
                 pattern = _pattern(device)
             foms[backend] = wavelength_sweep(device, pattern, LAMBDAS).foms
         np.testing.assert_allclose(
-            foms["krylov-block"], foms["direct"], rtol=1e-4, atol=1e-8
+            foms["krylov"], foms["direct"], rtol=1e-4, atol=1e-8
         )

@@ -507,6 +507,31 @@ class TestRestartRecovery:
         assert spec["status"] == "queued"
         assert not (jobs / queued["id"] / "checkpoints").exists()
 
+    def test_queued_job_naming_removed_backend_fails_descriptively(
+        self, tmp_path
+    ):
+        """A job queued by an older daemon may name a solver backend
+        this version no longer has: it fails with an error that names
+        the replacement, and the queue moves on to the next job."""
+        jobs = tmp_path / "jobs"
+        store = JobStore(jobs)
+        stale = store.create("bending", dict(CFG, solver="krylov-block"))
+        good = store.create("bending", dict(CFG))
+
+        daemon = ServeDaemon(jobs, parallel=1)
+        daemon.serve_in_thread()
+        try:
+            with _client(daemon) as client:
+                failed = client.watch(stale.id)
+                final = client.watch(good.id)
+        finally:
+            daemon.shutdown()
+        assert failed["status"] == "failed"
+        assert "'krylov-block' was removed; use 'krylov'" in failed["error"]
+        assert not daemon.store.result_path(stale.id).exists()
+        assert final["status"] == "completed"
+        assert daemon.store.result_path(good.id).exists()
+
     def test_restart_scan_tolerates_rotation_debris(
         self, tmp_path, reference
     ):
